@@ -12,10 +12,10 @@ def test_ablation_series(benchmark, capsys, scale):
     # and both beat the full scan.
     for _name, edges, evals_md, evals_cn, full in prune.rows:
         assert evals_cn <= evals_md <= full
-    # Treap updates beat sorted-array updates (the reason for the BST).
+    # Surgical bisect updates beat rebuild-and-resort array updates.
     for row in structure.rows:
-        _name, _tb, _ab, treap_upd, array_upd = row
-        assert treap_upd < array_upd
+        _name, _ib, _ab, index_upd, array_upd = row
+        assert index_upd < array_upd
     # Both online frameworks prune relative to the full scan.
     for _name, _t_dq, _t_ord, evals_dq, evals_ord in frameworks.rows:
         assert evals_dq > 0

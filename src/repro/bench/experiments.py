@@ -416,7 +416,7 @@ def run_ablation(scale: float = 1.0) -> List[ExperimentTable]:
     """Design-choice ablations called out in DESIGN.md.
 
     (a) pruning power of the dequeue-twice framework per bound rule,
-    (b) treap-backed H(c) vs a sorted-array rebuild strategy,
+    (b) surgical bisect updates of H(c) vs rebuild-and-resort arrays,
     (c) bulk load vs incremental set_edge construction,
     (d) dequeue-twice vs the ordering-based scan (Chang et al. style),
     (e) degree vs degeneracy orientation for 4-clique enumeration.
@@ -432,9 +432,10 @@ def run_ablation(scale: float = 1.0) -> List[ExperimentTable]:
         prune.add_row(name, graph.m, s_md, s_cn, graph.m)
 
     structure = ExperimentTable(
-        "Ablation B", "H(c) backing structure: treap vs sorted array",
-        ["dataset", "treap build (s)", "array build (s)",
-         "treap 100 updates (s)", "array 100 updates (s)"],
+        "Ablation B",
+        "H(c) updates: surgical bisect updates vs rebuild-and-resort arrays",
+        ["dataset", "index build (s)", "array build (s)",
+         "index 100 updates (s)", "array 100 updates (s)"],
     )
     for name in ("youtube", "dblp"):
         graph = dataset(name, scale)
@@ -443,13 +444,13 @@ def run_ablation(scale: float = 1.0) -> List[ExperimentTable]:
         }
         from repro.core import ESDIndex, index_from_sizes
 
-        t_treap = time_call(lambda: index_from_sizes(sizes))
+        t_index = time_call(lambda: index_from_sizes(sizes))
         t_array = time_call(lambda: _sorted_array_index(sizes))
         index = index_from_sizes(sizes)
         arrays = _sorted_array_index(sizes)
         tracked = [e for e, s in sizes.items() if s][:100]
 
-        def treap_updates() -> None:
+        def index_updates() -> None:
             for e in tracked:
                 index.set_edge(e, sizes[e])
 
@@ -458,13 +459,14 @@ def run_ablation(scale: float = 1.0) -> List[ExperimentTable]:
                 _sorted_array_update(arrays, e, sizes[e])
 
         structure.add_row(
-            name, t_treap, t_array,
-            time_call(treap_updates), time_call(array_updates),
+            name, t_index, t_array,
+            time_call(index_updates), time_call(array_updates),
         )
     structure.note(
-        "Sorted arrays build faster but each update pays an O(n) re-sort "
-        "per touched list; the treap keeps updates logarithmic -- the "
-        "reason the paper uses a self-balancing BST."
+        "Both keep every H(c) as a sorted list.  The index updates only "
+        "the lists whose key changes, with one bisect plus an insert or "
+        "delete each; the baseline filters and re-sorts every list on "
+        "each update."
     )
 
     load = ExperimentTable(

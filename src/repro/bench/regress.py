@@ -62,7 +62,7 @@ DEFAULT_TOLERANCE = 0.25
 #: so treat them like a file-format version.  The ``maint_*`` keys pin a
 #: *separate, denser* graph for ``maintenance_batch``: incremental
 #: maintenance is dominated by shared index traffic on sparse graphs
-#: (both kernel modes pay the same treap cost), so the kernels' edge
+#: (both kernel modes pay the same ``H(c)`` cost), so the kernels' edge
 #: only shows where partition/enumeration work dominates -- exactly the
 #: dense ego-network regime the delta kernels were built for.
 SUITES: Dict[str, Dict[str, int | float | str]] = {
@@ -120,8 +120,8 @@ SUITE_KIND_OPS: Dict[str, Tuple[str, ...]] = {
 #: Ops reported but never *gated*: their timed region is at most a few
 #: milliseconds, and a null experiment (timing the same mode against
 #: itself) swings the ratio by more than the default tolerance on an
-#: ordinary CI machine.  ``topk_indexed`` is additionally a pure treap
-#: walk the kernels never touch, so its true ratio is 1.0 and any
+#: ordinary CI machine.  ``topk_indexed`` is additionally a pure
+#: ``H(c)`` slice the kernels never touch, so its true ratio is 1.0 and any
 #: deviation is noise.  ``maintenance_batch`` is the gated maintenance
 #: metric -- its hundreds-of-milliseconds region sits far above the
 #: noise floor.
@@ -195,7 +195,7 @@ def _make_ops(
 
     def op_maintenance() -> None:
         # 5 rounds per repeat: a single pass over the probes is sub-ms
-        # and dominated by heavy-tailed treap rebalancing, so one lucky
+        # and dominated by shared ESDIndex updates, so one lucky
         # pass can swing the speedup ratio past the tolerance gate.
         for _ in range(5):
             for u, v in probe_edges:

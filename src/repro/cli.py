@@ -321,14 +321,16 @@ def _cmd_cluster_start(args: argparse.Namespace) -> int:
         raise KeyboardInterrupt
 
     signal.signal(signal.SIGTERM, _terminate)
-    supervisor.start()
-    host, port = supervisor.writer_address
-    print(f"esd cluster: writer on {host}:{port}", flush=True)
-    for name, (rhost, rport) in supervisor.replica_addresses.items():
-        print(f"esd cluster: {name} on {rhost}:{rport}", flush=True)
-    host, port = supervisor.address
-    print(f"esd cluster: listening on {host}:{port}", flush=True)
+    # start() and the announce lines sit inside the try: a SIGTERM that
+    # lands while children are spawning must still reach stop().
     try:
+        supervisor.start()
+        host, port = supervisor.writer_address
+        print(f"esd cluster: writer on {host}:{port}", flush=True)
+        for name, (rhost, rport) in supervisor.replica_addresses.items():
+            print(f"esd cluster: {name} on {rhost}:{rport}", flush=True)
+        host, port = supervisor.address
+        print(f"esd cluster: listening on {host}:{port}", flush=True)
         supervisor.serve_forever()
     except KeyboardInterrupt:
         print("esd cluster: interrupted, shutting down", file=sys.stderr)

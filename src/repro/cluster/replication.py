@@ -250,6 +250,12 @@ class ReplicationPublisher:
         if self._stopped.is_set():
             return
         self._stopped.set()
+        # close() alone does not wake a thread blocked in accept() on
+        # Linux; shutdown() makes that accept() fail at once.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:

@@ -3,12 +3,15 @@
 For every component size ``c`` that occurs in some edge ego-network
 (``c ∈ C``), the index keeps a list ``H(c)`` of all edges whose
 ego-network has a component of size >= ``c``, sorted by the edge's
-structural diversity at threshold ``c``.  Each ``H(c)`` is an
-order-statistic treap (the paper's "self-balance binary search tree"),
-so a top-k query is: binary-search the smallest ``c* ∈ C`` with
-``c* >= τ`` (Theorem 4 guarantees scores at τ and c* coincide), then
-read the first k entries of ``H(c*)`` -- ``O(k log m + log n)`` total
-(Theorem 5).
+structural diversity at threshold ``c``.  The paper stores each
+``H(c)`` in a "self-balance binary search tree"; here it is a plain
+Python list of ``(-score, edge)`` keys kept sorted with :mod:`bisect`
+(``list.insert``/``del`` memmove is cheaper than a hand-written tree at
+every class size the datasets reach).  A top-k query is: binary-search
+the smallest ``c* ∈ C`` with ``c* >= τ`` (Theorem 4 guarantees scores at
+τ and c* coincide), then slice the first k entries of ``H(c*)`` --
+``O(k + log n)`` total (Theorem 5's ``O(k log m + log n)`` assumes a
+tree walk).
 
 Beyond the paper's static picture, this implementation keeps the
 per-edge component-size histograms inside the index.  That makes two
@@ -30,7 +33,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.graph.graph import Edge, Graph, canonical_edge
 from repro.obs.trace import TRACER
-from repro.structures.treap import OrderStatTreap
 
 
 class ESDIndex:
@@ -50,7 +52,7 @@ class ESDIndex:
 
     def __init__(self) -> None:
         # c -> H(c), keyed by (-score_at_c, edge) so ascending = best first.
-        self._classes: Dict[int, OrderStatTreap] = {}
+        self._classes: Dict[int, List[Tuple[int, Edge]]] = {}
         self._class_keys: List[int] = []  # sorted members of C
         # edge -> Counter{component size: multiplicity}
         self._sizes: Dict[Edge, Counter] = {}
@@ -73,7 +75,7 @@ class ESDIndex:
     def entry_count(self) -> int:
         """Total entries across all ``H(c)`` -- the index size of Fig. 6(a),
         bounded by ``O(α m)`` (Theorem 3)."""
-        return sum(len(t) for t in self._classes.values())
+        return sum(len(keys) for keys in self._classes.values())
 
     def component_sizes(self, edge: Edge) -> List[int]:
         """Stored component-size multiset of ``edge`` ([] if untracked)."""
@@ -93,10 +95,7 @@ class ESDIndex:
 
     def class_list(self, c: int) -> List[Tuple[Edge, int]]:
         """The full sorted content of ``H(c)`` as ``[(edge, score), ...]``."""
-        treap = self._classes.get(c)
-        if treap is None:
-            return []
-        return [(edge, -neg) for neg, edge in treap]
+        return [(edge, -neg) for neg, edge in self._classes.get(c, ())]
 
     # -- queries ----------------------------------------------------------------
 
@@ -118,9 +117,7 @@ class ESDIndex:
                 span.set(c_star=None, results=0)
                 return []
             c_star = self._class_keys[pos]
-            results = [
-                (edge, -neg) for neg, edge in self._classes[c_star].smallest(k)
-            ]
+            results = [(edge, -neg) for neg, edge in self._classes[c_star][:k]]
             span.set(c_star=c_star, results=len(results))
             return results
 
@@ -132,14 +129,9 @@ class ESDIndex:
         """Lazily yield ``(edge, score)`` in non-increasing score order.
 
         Useful when the consumer decides on the fly how many results it
-        needs; each step costs O(log m) via the treap's ordered iterator.
+        needs; each step is O(1) over the sorted ``H(c*)`` list.
         """
-        if tau < 1:
-            raise ValueError(f"tau must be >= 1, got {tau}")
-        pos = bisect_left(self._class_keys, tau)
-        if pos == len(self._class_keys):
-            return
-        for neg, edge in self._classes[self._class_keys[pos]]:
+        for neg, edge in self._ranked_keys(tau):
             yield edge, -neg
 
     def edges_with_score_at_least(
@@ -147,17 +139,24 @@ class ESDIndex:
     ) -> List[Tuple[Edge, int]]:
         """All edges whose structural diversity at ``tau`` is >= threshold.
 
-        A range scan over the relevant ``H(c*)`` list: stops at the first
-        entry below the threshold, so the cost is O(result + log m).
+        A prefix of the relevant ``H(c*)`` list, cut by one bisect: keys
+        are ``(-score, edge)``, so ``(1 - threshold,)`` sorts after every
+        key scoring >= threshold and before every other -- O(result + log m).
         """
         if threshold < 1:
             raise ValueError(f"threshold must be >= 1, got {threshold}")
-        out: List[Tuple[Edge, int]] = []
-        for edge, score in self.iter_ranked(tau):
-            if score < threshold:
-                break
-            out.append((edge, score))
-        return out
+        keys = self._ranked_keys(tau)
+        cut = bisect_left(keys, (1 - threshold,))
+        return [(edge, -neg) for neg, edge in keys[:cut]]
+
+    def _ranked_keys(self, tau: int) -> List[Tuple[int, Edge]]:
+        """``H(c*)`` for the smallest ``c* ∈ C`` with ``c* >= tau``."""
+        if tau < 1:
+            raise ValueError(f"tau must be >= 1, got {tau}")
+        pos = bisect_left(self._class_keys, tau)
+        if pos == len(self._class_keys):
+            return []
+        return self._classes[self._class_keys[pos]]
 
     # -- mutation -----------------------------------------------------------
 
@@ -168,7 +167,7 @@ class ESDIndex:
         ``(-score_at_c, edge)`` actually changes are touched.  A typical
         maintenance update grows or shrinks one component by one member,
         which shifts the score in a single class -- the other classes
-        keep their treaps byte-for-byte intact instead of paying a
+        keep their lists byte-for-byte intact instead of paying a
         remove+reinsert of an identical key.  Creates (with back-fill)
         and drops size classes as the global ``C`` changes.
         """
@@ -237,9 +236,9 @@ class ESDIndex:
             pos = bisect_left(class_keys, sizes_sorted[-1] + 1)
             for c in class_keys[:pos]:
                 entries[c].append((bisect_left(sizes_sorted, c) - total, edge))
-        for c, keys in entries.items():
+        for keys in entries.values():
             keys.sort()
-            index._classes[c] = OrderStatTreap.from_sorted(keys, seed=0x5EED ^ c)
+        index._classes = entries
         return index
 
     # -- internals --------------------------------------------------------------
@@ -254,9 +253,9 @@ class ESDIndex:
         """Reconcile the edge's key across every existing ``H(c)``.
 
         For each class the old and new score are compared; an unchanged
-        score means an identical key, so the treap is left alone.
+        score means an identical key, so the list is left alone.
         Classes in ``dropping`` are skipped entirely -- their whole
-        treap is deleted by ``_drop_classes`` right after, so removing
+        list is deleted by ``_drop_classes`` right after, so removing
         one key from them first is wasted work.
         """
         old_max = max(old_hist) if old_hist else 0
@@ -275,11 +274,11 @@ class ESDIndex:
             )
             if old_score == new_score or c in dropping:
                 continue
-            treap = self._classes[c]
+            keys = self._classes[c]
             if old_score:
-                treap.remove((-old_score, edge))
+                _remove_key(keys, (-old_score, edge))
             if new_score:
-                treap.insert((-new_score, edge))
+                _insert_key(keys, (-new_score, edge))
 
     def _update_support(
         self, old_hist: Optional[Counter], new_hist: Counter
@@ -309,12 +308,11 @@ class ESDIndex:
         for c in sorted(set(new_hist) - old_sizes):
             if c in self._classes:
                 continue
-            treap = OrderStatTreap(seed=0x5EED ^ c)
-            for other, hist in self._sizes.items():
-                if max(hist) >= c:
-                    score = sum(n for size, n in hist.items() if size >= c)
-                    treap.insert((-score, other))
-            self._classes[c] = treap
+            self._classes[c] = sorted(
+                (-sum(n for size, n in hist.items() if size >= c), other)
+                for other, hist in self._sizes.items()
+                if max(hist) >= c
+            )
             insort(self._class_keys, c)
 
     def _drop_classes(self, vanished: List[int]) -> None:
@@ -344,7 +342,7 @@ class ESDIndex:
             "edges": self.edge_count,
             "entries": self.entry_count,
             "size_classes": list(self._class_keys),
-            "class_sizes": {c: len(t) for c, t in self._classes.items()},
+            "class_sizes": {c: len(keys) for c, keys in self._classes.items()},
             "histogram_cells": sum(len(h) for h in self._sizes.values()),
         }
 
@@ -358,7 +356,7 @@ class ESDIndex:
         """Serialize the index to ``path`` in the checksummed binary format.
 
         Stores the per-edge histograms (the compact O(α m) core) in one
-        CRC32-guarded container section and rebuilds the treaps on load
+        CRC32-guarded container section and rebuilds the lists on load
         -- small files, no pickle compatibility risk, and bit rot is
         detected instead of silently mis-scoring queries.
         """
@@ -426,9 +424,12 @@ class ESDIndex:
                 for edge, hist in self._sizes.items()
                 if max(hist) >= c
             }
+            keys = self._classes[c]
+            assert all(
+                a < b for a, b in zip(keys, keys[1:])
+            ), f"H({c}) not strictly ascending"
             actual = dict(self.class_list(c))
             assert actual == expected_members, f"H({c}) content mismatch"
-            self._classes[c].check_invariants()
 
         if graph is not None:
             tracked = set(self._sizes)
@@ -443,3 +444,19 @@ class ESDIndex:
                 else:
                     assert edge not in self._sizes, f"phantom edge {edge}"
             assert not tracked, f"stale edges in index: {tracked}"
+
+
+def _remove_key(keys: list, key) -> None:
+    """Delete ``key`` from the sorted list; raises KeyError if absent."""
+    i = bisect_left(keys, key)
+    if i == len(keys) or keys[i] != key:
+        raise KeyError(f"key not found: {key!r}")
+    del keys[i]
+
+
+def _insert_key(keys: list, key) -> None:
+    """Insert ``key`` into the sorted list; raises KeyError if present."""
+    i = bisect_left(keys, key)
+    if i < len(keys) and keys[i] == key:
+        raise KeyError(f"duplicate key: {key!r}")
+    keys.insert(i, key)

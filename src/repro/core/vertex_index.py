@@ -12,7 +12,7 @@ because the vertex analogue of Observation 1 holds:
 So where the edge index enumerates 4-cliques and performs six unions,
 the vertex index enumerates triangles once each (Ortmann-Brandes
 orientation) and performs three unions -- one per triangle vertex.
-Everything else (the ``H(c)`` size-class treaps, query, back-fill) is
+Everything else (the sorted ``H(c)`` size-class lists, query, back-fill) is
 shared with :class:`~repro.core.index.ESDIndex`.
 """
 

@@ -2,6 +2,7 @@
 
 import functools
 import socket
+import sys
 import threading
 
 import pytest
@@ -264,3 +265,36 @@ def test_publisher_status_reports_peers(engine):
     finally:
         tailer.stop()
         publisher.stop()
+
+
+def _blocked_in_accept(thread):
+    """True once ``thread`` sleeps in the kernel's accept(), not just its
+    Python wrapper: closing the listener before the syscall is entered
+    fails it at once, which would hide the wake-up bug."""
+    frame = sys._current_frames().get(thread.ident)
+    names = []
+    while frame is not None:
+        names.append(frame.f_code.co_name)
+        frame = frame.f_back
+    if "accept" not in names:
+        return False
+    task = f"/proc/self/task/{thread.native_id}"
+    try:
+        with open(f"{task}/wchan") as handle:
+            wchan = handle.read()
+        if wchan not in ("", "0"):
+            return "accept" in wchan
+        with open(f"{task}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "S"
+    except OSError:
+        return True  # no procfs: the Python frame is all there is
+
+
+def test_stop_wakes_accept_thread(engine):
+    publisher = ReplicationPublisher(engine).start()
+    accept_thread = next(
+        t for t in threading.enumerate() if t.name == "esd-repl-accept"
+    )
+    _wait(lambda: _blocked_in_accept(accept_thread), message="accept() block")
+    publisher.stop()
+    assert not accept_thread.is_alive()

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ESDIndex, build_index_fast, topk_exact
+from repro.core.index import _insert_key, _remove_key
 from repro.graph import Graph, gnm_random
 
 
@@ -104,6 +105,31 @@ class TestRemoveEdge:
         index.remove_edge((1, 2))
         assert index.size_classes == []
         index.check_invariants()
+
+
+class TestClassListSafety:
+    """H(c) lists refuse to silently diverge from the histograms."""
+
+    def test_missing_key_remove_raises(self):
+        keys = [(-2, (1, 2)), (-1, (3, 4))]
+        with pytest.raises(KeyError):
+            _remove_key(keys, (-1, (1, 2)))
+        assert keys == [(-2, (1, 2)), (-1, (3, 4))]
+
+    def test_duplicate_insert_raises(self):
+        keys = [(-2, (1, 2)), (-1, (3, 4))]
+        with pytest.raises(KeyError):
+            _insert_key(keys, (-1, (3, 4)))
+        _insert_key(keys, (-1, (1, 2)))
+        assert keys == [(-2, (1, 2)), (-1, (1, 2)), (-1, (3, 4))]
+
+    def test_check_invariants_catches_disorder(self):
+        index = ESDIndex()
+        index.set_edge((1, 2), [2])
+        index.set_edge((3, 4), [2, 2])
+        index._classes[2].reverse()
+        with pytest.raises(AssertionError, match="ascending"):
+            index.check_invariants()
 
 
 class TestQuery:

@@ -13,49 +13,62 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.structures import DisjointSet, LazyMaxHeap, OrderStatTreap
+from repro.core import ESDIndex
+from repro.structures import DisjointSet, LazyMaxHeap
 
 
-class TreapMachine(RuleBasedStateMachine):
-    """OrderStatTreap vs a plain Python set."""
+#: A small edge universe, so histograms collide on shared size classes.
+EDGES = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+
+
+class ESDIndexMachine(RuleBasedStateMachine):
+    """ESDIndex's size-class lists H(c) vs a dict of histograms.
+
+    Sizes run 1..6 on a handful of edges, so updates keep creating
+    classes (with back-fill) and dropping them; after every step the
+    incrementally maintained lists must equal a bulk load of the model.
+    """
 
     def __init__(self):
         super().__init__()
-        self.treap = OrderStatTreap()
-        self.model = set()
+        self.index = ESDIndex()
+        self.model = {}
 
-    @rule(key=st.integers(-50, 50))
-    def insert(self, key):
-        if key in self.model:
-            try:
-                self.treap.insert(key)
-                raise AssertionError("duplicate insert must raise")
-            except KeyError:
-                pass
+    @rule(
+        edge=st.sampled_from(EDGES),
+        sizes=st.lists(st.integers(1, 6), max_size=4),
+    )
+    def set_edge(self, edge, sizes):
+        self.index.set_edge(edge, sizes)
+        if sizes:
+            self.model[edge] = sizes
         else:
-            self.treap.insert(key)
-            self.model.add(key)
+            self.model.pop(edge, None)
 
-    @rule(key=st.integers(-50, 50))
-    def discard(self, key):
-        assert self.treap.discard(key) == (key in self.model)
-        self.model.discard(key)
+    @rule(edge=st.sampled_from(EDGES))
+    def remove_edge(self, edge):
+        self.index.remove_edge(edge)
+        self.model.pop(edge, None)
 
-    @rule(index=st.integers(0, 120))
-    def kth(self, index):
-        ordered = sorted(self.model)
-        if index < len(ordered):
-            assert self.treap.kth(index) == ordered[index]
-
-    @rule(k=st.integers(0, 30))
-    def smallest(self, k):
-        assert self.treap.smallest(k) == sorted(self.model)[:k]
+    @rule(k=st.integers(1, 12), tau=st.integers(1, 7))
+    def topk(self, k, tau):
+        scores = {
+            edge: sum(1 for size in sizes if size >= tau)
+            for edge, sizes in self.model.items()
+        }
+        ranked = sorted(
+            ((edge, score) for edge, score in scores.items() if score),
+            key=lambda pair: (-pair[1], pair[0]),
+        )
+        assert self.index.topk(k, tau) == ranked[:k]
 
     @invariant()
-    def matches_model(self):
-        assert len(self.treap) == len(self.model)
-        assert list(self.treap) == sorted(self.model)
-        self.treap.check_invariants()
+    def matches_bulk_load(self):
+        self.index.check_invariants()
+        rebuilt = ESDIndex.bulk_load(self.model)
+        assert self.index.size_classes == rebuilt.size_classes
+        for c in rebuilt.size_classes:
+            assert self.index.class_list(c) == rebuilt.class_list(c)
 
 
 class DisjointSetMachine(RuleBasedStateMachine):
@@ -141,10 +154,10 @@ class HeapMachine(RuleBasedStateMachine):
             assert self.heap.priority_of(item) == priority
 
 
-TestTreapStateful = TreapMachine.TestCase
+TestESDIndexStateful = ESDIndexMachine.TestCase
 TestDisjointSetStateful = DisjointSetMachine.TestCase
 TestHeapStateful = HeapMachine.TestCase
 
-for case in (TestTreapStateful, TestDisjointSetStateful, TestHeapStateful):
+for case in (TestESDIndexStateful, TestDisjointSetStateful, TestHeapStateful):
     case.settings = settings(max_examples=40, stateful_step_count=30,
                              deadline=None)

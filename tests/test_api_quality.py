@@ -40,17 +40,11 @@ def test_public_methods_documented():
     """Public methods of the flagship classes carry docstrings."""
     from repro import DynamicESDIndex, ESDIndex, Graph
     from repro.core import TopKMonitor, VertexESDIndex
-    from repro.structures import (
-        DisjointSet,
-        EdgeComponentSets,
-        LazyMaxHeap,
-        OrderStatTreap,
-    )
+    from repro.structures import DisjointSet, EdgeComponentSets, LazyMaxHeap
 
     undocumented = []
     for cls in (Graph, ESDIndex, DynamicESDIndex, VertexESDIndex,
-                TopKMonitor, DisjointSet, EdgeComponentSets, LazyMaxHeap,
-                OrderStatTreap):
+                TopKMonitor, DisjointSet, EdgeComponentSets, LazyMaxHeap):
         for name, member in inspect.getmembers(cls):
             if name.startswith("_"):
                 continue

@@ -1,5 +1,9 @@
 """Tests for the ``esd`` command-line interface."""
 
+import os
+import signal
+import time
+
 import pytest
 
 from repro.cli import main
@@ -167,16 +171,75 @@ class TestProfile:
         assert TRACER.enabled is False
 
 
+class TestClusterStart:
+    """A SIGTERM anywhere after the handler is installed reaps the children."""
+
+    @pytest.fixture
+    def supervisor_cls(self, monkeypatch):
+        import repro.cluster
+
+        class FakeSupervisor:
+            writer_address = ("127.0.0.1", 1)
+            replica_addresses = {"replica-1": ("127.0.0.1", 2)}
+            address = ("127.0.0.1", 3)
+            sigterm_in = None
+            instance = None
+
+            def __init__(self, config):
+                self.stopped = False
+                FakeSupervisor.instance = self
+
+            def _maybe_sigterm(self, stage):
+                if stage == self.sigterm_in:
+                    os.kill(os.getpid(), signal.SIGTERM)
+                    time.sleep(5)  # the handler's KeyboardInterrupt ends it
+
+            def start(self):
+                self._maybe_sigterm("start")
+
+            def serve_forever(self):
+                self._maybe_sigterm("serve_forever")
+
+            def stop(self):
+                self.stopped = True
+
+        monkeypatch.setattr(repro.cluster, "ClusterSupervisor", FakeSupervisor)
+        previous = signal.getsignal(signal.SIGTERM)
+        yield FakeSupervisor
+        signal.signal(signal.SIGTERM, previous)
+
+    @pytest.mark.parametrize("stage", ["start", "serve_forever"])
+    def test_sigterm_still_stops_supervisor(self, supervisor_cls, stage, capsys):
+        supervisor_cls.sigterm_in = stage
+        try:
+            code = main(["cluster", "start", "--dataset", "dblp"])
+        except KeyboardInterrupt:
+            code = None
+        assert supervisor_cls.instance.stopped
+        assert code == 0
+        assert "shutting down" in capsys.readouterr().err
+
+
 class TestBench:
-    def test_table1(self, capsys):
+    @pytest.fixture(autouse=True)
+    def results_dir(self, tmp_path, monkeypatch):
+        """Keep the tracked benchmarks/results/ tables out of test runs."""
+        from repro.bench import harness
+
+        monkeypatch.setattr(harness, "RESULTS_DIR", tmp_path)
+        return tmp_path
+
+    def test_table1(self, capsys, results_dir):
         assert main(["bench", "table1", "--scale", "0.1"]) == 0
         out = capsys.readouterr().out
         assert "Table I" in out
         assert "youtube" in out
+        assert (results_dir / "table1.json").exists()
 
-    def test_fig13(self, capsys):
+    def test_fig13(self, capsys, results_dir):
         assert main(["bench", "fig13"]) == 0
         assert "bank" in capsys.readouterr().out
+        assert (results_dir / "fig13.txt").exists()
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
