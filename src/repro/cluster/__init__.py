@@ -3,10 +3,10 @@
 A cluster is one durable **writer** (:class:`~repro.cluster.writer.WriterNode`,
 an :class:`~repro.service.server.ESDServer` that ships its committed WAL
 stream), N **read replicas**
-(:class:`~repro.cluster.replica.ReplicaNode`, tailing that stream into a
-:class:`~repro.core.maintenance.DynamicESDIndex` and serving reads on a
-``selectors`` event loop), and a **router**
-(:class:`~repro.cluster.router.Router`) that gives clients one address
+(:class:`~repro.cluster.replica.ReplicaNode`, an ``ESDServer`` too,
+whose engine is fed by a tailer of that stream and which refuses
+mutations), and a **router** (:class:`~repro.cluster.router.Router`,
+on a ``selectors`` event loop) that gives clients one address
 with read-your-writes version tokens, bounded-staleness replica
 eviction, and fail-fast writes when the writer is down.
 

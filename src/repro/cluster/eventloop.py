@@ -1,12 +1,16 @@
 """A ``selectors``-based single-threaded event loop for line protocols.
 
-The cluster serve path (replicas and the router) runs on this reactor
-instead of the thread-per-connection model of
-:class:`~repro.service.server.ESDServer`: one thread multiplexes every
-connection through :func:`selectors.DefaultSelector`, with explicit
-per-connection read/write buffers.  That bounds the cost of a client to
-one :class:`Channel` object rather than one OS thread, which is what
-lets a replica hold thousands of idle watchers.
+The cluster router runs on this reactor instead of the
+thread-per-connection model of :class:`~repro.service.server.ESDServer`
+(which writers and replicas share): one thread multiplexes every client
+connection and every backend link through
+:func:`selectors.DefaultSelector`, with explicit per-connection
+read/write buffers.  That bounds the cost of a client to one
+:class:`Channel` object rather than one OS thread.  The router only
+forwards lines, so running its handlers inline on the loop thread is
+cheap; the query servers stay threaded because their handlers block
+(the batcher's window sleep, WAL fsync) and would stall every
+connection on a loop.
 
 Concepts
 --------
@@ -25,10 +29,11 @@ Concepts
     write).  ``send_bytes`` and ``close`` must be called on the loop
     thread.
 
-Back-pressure and hygiene: a line that exceeds ``max_line_bytes``
-closes the connection (after an optional canned response) instead of
-buffering without bound; accepted connections idle longer than their
-listener's ``idle_timeout`` are closed by the tick sweep.
+Back-pressure and hygiene: a line that exceeds ``max_line_bytes`` is
+answered with ``overflow_response`` (the protocol's ``bad_request``
+error) and its connection closed, instead of buffering without bound;
+accepted connections idle longer than their listener's
+``idle_timeout`` are closed by the tick sweep.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ import socket
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.service import protocol
 
 __all__ = ["Channel", "EventLoop", "Listener"]
 
@@ -128,7 +135,7 @@ class EventLoop:
         self,
         *,
         tick_interval: float = 0.05,
-        max_line_bytes: int = 1 << 20,
+        max_line_bytes: int = protocol.MAX_LINE_BYTES,
     ) -> None:
         self._selector = selectors.DefaultSelector()
         self._tick_interval = tick_interval
@@ -137,15 +144,19 @@ class EventLoop:
         self._listeners: List[Listener] = []
         self._channels: List[Channel] = []
         self._stop = threading.Event()
+        self._running = False  #: set once run() starts; guarded by _run_lock
+        self._run_lock = threading.Lock()
         self._calls: List[Callable[[], None]] = []
         self._calls_lock = threading.Lock()
         # Wakeup pipe so call_soon()/stop() interrupt a sleeping select.
         self._wake_recv, self._wake_send = socket.socketpair()
         self._wake_recv.setblocking(False)
         self._selector.register(self._wake_recv, selectors.EVENT_READ, "wake")
-        #: Canned bytes sent before closing an over-long-line offender
-        #: (the dispatch layer sets a protocol error response here).
-        self.overflow_response: Optional[bytes] = None
+        #: Canned bytes sent before closing an over-long-line offender.
+        self.overflow_response = protocol.encode(protocol.error_response(
+            protocol.BAD_REQUEST,
+            f"request line exceeds {max_line_bytes} bytes",
+        ))
         self.stats = {
             "accepted": 0,
             "closed": 0,
@@ -217,8 +228,16 @@ class EventLoop:
     # -- run state -------------------------------------------------------------
 
     def stop(self) -> None:
-        """Ask the loop to exit; safe from any thread, idempotent."""
-        self._stop.set()
+        """Ask the loop to exit; safe from any thread, idempotent.
+
+        A loop that never ran releases its sockets here, since no
+        :meth:`run` will reach its teardown.
+        """
+        with self._run_lock:
+            self._stop.set()
+            if not self._running:
+                self._teardown()
+                return
         try:
             self._wake_send.send(b"\x00")
         except OSError:
@@ -226,6 +245,10 @@ class EventLoop:
 
     def run(self) -> None:
         """Serve until :meth:`stop`; closes every socket on the way out."""
+        with self._run_lock:
+            if self._stop.is_set():
+                return  # stopped before it ran: already torn down
+            self._running = True
         next_tick = time.monotonic() + self._tick_interval
         try:
             while not self._stop.is_set():
@@ -335,14 +358,11 @@ class EventLoop:
             and len(channel.inbuf) > self._max_line_bytes
         ):
             # A "line" that big cannot be a legal request: answer with
-            # the canned rejection (if any) and drop the connection
-            # rather than buffering an unbounded stream.
+            # the canned rejection and drop the connection rather than
+            # buffering an unbounded stream.
             self.stats["overflow_closed"] += 1
-            if self.overflow_response:
-                channel.send_bytes(self.overflow_response)
-                channel.close(flush=True)
-            else:
-                self._close_channel(channel)
+            channel.send_bytes(self.overflow_response)
+            channel.close(flush=True)
 
     def _writable(self, channel: Channel) -> None:
         if channel.outbuf:

@@ -1,61 +1,55 @@
-"""A read replica: tailed WAL state + an event-loop serve path.
+"""A read replica: an :class:`ESDServer` fed by the writer's WAL stream.
 
-:class:`ReplicaNode` holds one :class:`~repro.core.maintenance.DynamicESDIndex`
-it never mutates on behalf of clients.  State arrives exclusively from
-the writer through a :class:`~repro.cluster.replication.ReplicationTailer`:
-a snapshot (loaded via ``from_state``, skipping the 4-clique build) and
-then the live WAL record stream, applied through the same maintenance
-path the writer used -- so a replica at applied version ``v`` holds the
-bit-identical index the writer held at ``v``, and serves
-snapshot-consistent ``topk``/``score``/``stats`` at exactly that
-version under a local readers-writer lock.
+:class:`ReplicaNode` *is* an :class:`~repro.service.server.ESDServer`,
+as :class:`~repro.cluster.writer.WriterNode` is -- same engine, cache,
+batcher, admission control, metrics and request path -- whose state
+arrives exclusively from the writer through a
+:class:`~repro.cluster.replication.ReplicationTailer`: a snapshot
+(loaded via ``from_state``, skipping the 4-clique build, and installed
+with :meth:`~repro.service.engine.QueryEngine.install`) and then the
+live WAL record stream, applied through the engine's ``update`` -- the
+same maintenance path the writer used.  So a replica at applied
+version ``v`` holds the bit-identical index the writer held at ``v``
+and serves snapshot-consistent ``topk``/``score``/``stats`` at exactly
+that version.
 
-Serving runs on the :class:`~repro.cluster.eventloop.EventLoop`
-(``selectors``-based, per-connection buffers, idle timeouts) -- there
-is no thread per connection anywhere in the replica.  Mutating ops are
-answered with the structured ``read_only`` error; reads carrying a
-``min_version`` token newer than the applied version are answered
-``unavailable`` so the router can retry elsewhere (bounded staleness is
-enforced at the router; the token check here makes read-your-writes
-robust even against a stale router view).
+The replica adds only role policy on top of the server's dispatch:
+mutating ops are answered with the structured ``read_only`` error;
+reads before the first snapshot, or carrying a ``min_version`` token
+newer than the applied version, are answered ``unavailable`` so the
+router can retry elsewhere (bounded staleness is enforced at the
+router; the token check here makes read-your-writes robust even
+against a stale router view).
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import KW_ONLY, dataclass
+from typing import Any, Dict
 
 from repro.core.maintenance import DynamicESDIndex
-from repro.kernels.shm import shm_metrics
-from repro.metrics import get_metric
-from repro.obs.promtext import http_metrics_response, render_prometheus
-from repro.obs.registry import UnifiedRegistry
+from repro.graph.graph import Graph
 from repro.obs.trace import TRACER
 from repro.persistence.wal import WALRecord
 from repro.service import protocol
-from repro.service.cache import ResultCache
-from repro.service.metrics import MetricsRegistry
 from repro.service.protocol import ProtocolError
-from repro.service.rwlock import RWLock
-from repro.cluster.eventloop import Channel, EventLoop
+from repro.service.server import ESDServer, ServerConfig
 from repro.cluster.replication import ReplicationTailer
-
-#: Ops a replica refuses outright (single-writer discipline).
-MUTATING_OPS = frozenset({"update", "watch", "changes", "unwatch"})
+from repro.cluster.router import READ_OPS, WRITE_OPS
 
 
 @dataclass
-class ReplicaConfig:
-    """Tunables for one :class:`ReplicaNode`."""
+class ReplicaConfig(ServerConfig):
+    """A :class:`ServerConfig` plus the replication tailer's tunables."""
 
+    #: No coalescing window: the router sends all of its traffic to a
+    #: replica over one link, served by one handler thread, so a window
+    #: would find nothing to coalesce and stall every queued request.
+    batch_window: float = 0.0
+    _: KW_ONLY
     writer_host: str
     writer_repl_port: int
-    host: str = "127.0.0.1"
-    port: int = 0  #: 0 = ephemeral; read the bound port from ``address``
     name: str = "replica"
-    cache_size: int = 1024  #: LRU result-cache capacity (version-keyed)
-    idle_timeout: float = 300.0  #: seconds before an idle client is dropped
     reconnect_backoff: float = 0.2
     #: Shared-memory namespace for snapshot CSR segments (empty =
     #: per-replica private kernels, no shared segments).  All replicas
@@ -64,29 +58,23 @@ class ReplicaConfig:
     #: ``<namespace>-v<v>`` and the rest map it read-only.
     shm_namespace: str = ""
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.data_dir is not None:
+            raise ValueError(
+                "a replica takes its state only from the writer; "
+                "data_dir must be None"
+            )
 
-class ReplicaNode:
+
+class ReplicaNode(ESDServer):
     """One read replica process/thread (see module docstring)."""
 
     def __init__(self, config: ReplicaConfig) -> None:
-        self.config = config
-        self._lock = RWLock()
-        self._dyn: Optional[DynamicESDIndex] = None
         self._applied = -1
         self._writer_version = -1
-        self._cache = ResultCache(config.cache_size)
-        self.metrics = MetricsRegistry()
-        self._loop = EventLoop()
-        self._loop.overflow_response = protocol.encode(
-            protocol.error_response(
-                protocol.BAD_REQUEST,
-                f"request line exceeds {protocol.MAX_LINE_BYTES} bytes",
-            )
-        )
-        self._listener = self._loop.listen(
-            config.host, config.port, self._on_line,
-            idle_timeout=config.idle_timeout,
-        )
+        self._segment = None  #: shared CSR segment of the applied snapshot
+        super().__init__(Graph(), config)
         self._tailer = ReplicationTailer(
             config.writer_host, config.writer_repl_port,
             name=config.name,
@@ -96,23 +84,12 @@ class ReplicaNode:
             on_writer_version=self._note_writer_version,
             reconnect_backoff=config.reconnect_backoff,
         )
-        self.obs = UnifiedRegistry(self.metrics)
-        self.obs.add_source("replication", self.replication_status)
-        self.obs.add_source("eventloop", self._loop.snapshot)
-        self.obs.add_source("cache", self._cache.stats)
-        self.obs.add_source("graph_version", lambda: self._applied)
-        self.obs.add_source("shm", shm_metrics)
-        self._segment = None  #: shared CSR segment of the applied snapshot
-        self._thread: Optional[threading.Thread] = None
-        self._shutdown_lock = threading.Lock()
-        self._closed = False
+        self.engine.obs.add_source("replication", self.replication_status)
+        # The empty bootstrap index is at version 0; a replica with no
+        # snapshot yet must report -1, as cluster-info does.
+        self.engine.obs.add_source("graph_version", lambda: self._applied)
 
     # -- lifecycle -------------------------------------------------------------
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound client ``(host, port)`` (valid once constructed)."""
-        return self._listener.address
 
     @property
     def applied_version(self) -> int:
@@ -120,39 +97,18 @@ class ReplicaNode:
         return self._applied
 
     def serve_forever(self) -> None:
-        """Tail the writer and serve on the calling thread."""
         self._tailer.start()
-        self._loop.run()
+        super().serve_forever()
 
     def start(self) -> "ReplicaNode":
-        """Serve on a background daemon thread; returns ``self``."""
-        if self._thread is not None:
-            raise RuntimeError("replica already started")
         self._tailer.start()
-        self._thread = threading.Thread(
-            target=self._loop.run, name=f"esd-{self.config.name}", daemon=True
-        )
-        self._thread.start()
+        super().start()
         return self
 
     def shutdown(self, join_timeout: float = 5.0) -> None:
-        """Stop tailing and serving; idempotent, bounded join."""
-        with self._shutdown_lock:
-            if self._closed:
-                return
-            self._closed = True
         self._tailer.stop()
-        self._loop.stop()
+        super().shutdown(join_timeout)
         self._release_segment()
-        if self._thread is not None:
-            self._thread.join(timeout=join_timeout)
-            self._thread = None
-
-    def __enter__(self) -> "ReplicaNode":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
 
     # -- replication callbacks (tailer thread) ---------------------------------
 
@@ -162,11 +118,9 @@ class ReplicaNode:
         ):
             dyn = DynamicESDIndex.from_state(state)
             self._seed_kernel(dyn, state)
-        with self._lock.write_locked():
-            self._dyn = dyn
-            self._applied = dyn.graph_version
-            self._cache.clear()
-        self.metrics.incr("snapshots_loaded")
+        self.engine.install(dyn)
+        self._applied = dyn.graph_version
+        self.engine.metrics.incr("snapshots_loaded")
 
     def _seed_kernel(self, dyn: DynamicESDIndex, state: Dict[str, Any]) -> None:
         """Install the snapshot CSR as a shared segment; seed the kernel.
@@ -201,11 +155,11 @@ class ReplicaNode:
                 MaintenanceKernel.from_csr(segment.csr(), dyn.graph.revision)
             )
         except Exception:
-            self.metrics.incr("shm_seed_failures")
+            self.engine.metrics.incr("shm_seed_failures")
             return
         self._release_segment()
         self._segment = segment
-        self.metrics.incr(
+        self.engine.metrics.incr(
             "shm_segments_published" if created else "shm_segments_mapped"
         )
 
@@ -219,32 +173,26 @@ class ReplicaNode:
             segment.detach()
 
     def _apply_record(self, record: WALRecord) -> bool:
-        with self._lock.write_locked():
-            if self._dyn is None:
+        # The tailer thread is the engine's only writer, so the version
+        # checks need no lock; the engine takes its own for the apply.
+        if self._applied < 0:
+            return False
+        if record.version <= self._applied:
+            return True  # duplicate delivery is harmless
+        if record.version != self._applied + 1:
+            self.engine.metrics.incr("replication_gaps")
+            return False
+        with TRACER.span("cluster.apply", op=record.op, version=record.version):
+            try:
+                self.engine.update(record.op, record.u, record.v)
+            except (ValueError, KeyError):
+                # A record the state cannot absorb means we diverged:
+                # force a snapshot-resync rather than guessing.
+                self.engine.metrics.incr("replication_gaps")
+                self._applied = -1
                 return False
-            if record.version <= self._applied:
-                return True  # duplicate delivery is harmless
-            if record.version != self._applied + 1:
-                self.metrics.incr("replication_gaps")
-                return False
-            with TRACER.span(
-                "cluster.apply", op=record.op, version=record.version
-            ):
-                try:
-                    if record.op == "insert":
-                        self._dyn.insert_edge(record.u, record.v)
-                    else:
-                        self._dyn.delete_edge(record.u, record.v)
-                except (ValueError, KeyError):
-                    # A record the state cannot absorb means we diverged:
-                    # force a snapshot-resync rather than guessing.
-                    self.metrics.incr("replication_gaps")
-                    self._dyn = None
-                    self._applied = -1
-                    return False
-            self._applied = self._dyn.graph_version
-            self._cache.purge_stale(self._applied)
-        self.metrics.incr("records_applied")
+        self._applied = self.engine.graph_version
+        self.engine.metrics.incr("records_applied")
         return True
 
     def _note_writer_version(self, version: int) -> None:
@@ -263,51 +211,33 @@ class ReplicaNode:
             "tailer": self._tailer.status(),
         }
 
-    # -- serve path (event-loop thread) ----------------------------------------
+    # -- role policy over the server's dispatch --------------------------------
 
-    def metrics_text(self) -> str:
-        return render_prometheus(self.obs.snapshot())
-
-    def _on_line(self, channel: Channel, line: bytes) -> None:
-        if protocol.is_http_get(line):
-            channel.send_bytes(http_metrics_response(self.metrics_text()))
-            channel.close(flush=True)
-            return
-        try:
-            message = protocol.decode_line(line)
-        except ProtocolError as exc:
-            channel.send_bytes(
-                protocol.encode(protocol.error_response(exc.code, exc.message))
-            )
-            return
-        request_id = message.get("id")
+    def _dispatch(self, message: Dict[str, Any]) -> Any:
         op = message["op"]
-        try:
-            with self.metrics.timed(op):
-                response = protocol.ok_response(
-                    self._dispatch(op, message), request_id
-                )
-        except ProtocolError as exc:
-            response = protocol.error_response(exc.code, exc.message, request_id)
-        except (ValueError, TypeError) as exc:
-            response = protocol.error_response(
-                protocol.INVALID_ARGUMENT, str(exc), request_id
+        if op in WRITE_OPS:
+            raise ProtocolError(
+                protocol.READ_ONLY,
+                f"op {op!r} mutates state; replicas are read-only -- "
+                "send it to the router or the writer",
             )
-        except KeyError as exc:
-            detail = exc.args[0] if exc.args else exc
-            response = protocol.error_response(
-                protocol.NOT_FOUND, str(detail), request_id
+        if op == "cluster-info":
+            return dict(
+                self.replication_status(),
+                role="replica",
+                name=self.config.name,
+                graph_version=self._applied,
             )
-        except Exception as exc:  # never take the loop down
-            self.metrics.incr("internal_errors")
-            response = protocol.error_response(
-                protocol.INTERNAL, f"{type(exc).__name__}: {exc}", request_id
-            )
-        channel.send_bytes(protocol.encode(response))
+        if op in READ_OPS:
+            self._check_version(message)
+        result = super()._dispatch(message)
+        if op == "stats":
+            result.update(role="replica", replication=self.replication_status())
+        return result
 
-    def _checked_index(self, message: Dict[str, Any]) -> DynamicESDIndex:
-        """The live index, after enforcing the request's version token."""
-        if self._dyn is None:
+    def _check_version(self, message: Dict[str, Any]) -> None:
+        """Refuse a read the applied state cannot answer at its token."""
+        if self._applied < 0:
             raise ProtocolError(
                 protocol.UNAVAILABLE,
                 "replica has no state yet (awaiting writer snapshot)",
@@ -321,89 +251,3 @@ class ReplicaNode:
                 f"replica at version {self._applied} is behind the "
                 f"requested min_version {min_version}",
             )
-        return self._dyn
-
-    def _dispatch(self, op: str, message: Dict[str, Any]) -> Any:
-        if op == "ping":
-            return "pong"
-        if op in MUTATING_OPS:
-            raise ProtocolError(
-                protocol.READ_ONLY,
-                f"op {op!r} mutates state; replicas are read-only -- "
-                "send it to the router or the writer",
-            )
-        if op == "cluster-info":
-            return dict(
-                self.replication_status(),
-                role="replica",
-                name=self.config.name,
-                graph_version=self._applied,
-            )
-        if op == "metrics":
-            return self.obs.snapshot()
-        if op == "metrics-text":
-            from repro.service.server import PROMETHEUS_CONTENT_TYPE
-
-            return {"content_type": PROMETHEUS_CONTENT_TYPE,
-                    "text": self.metrics_text()}
-        if op == "topk":
-            k = protocol.int_field(message, "k", default=10)
-            tau = protocol.int_field(message, "tau", default=2)
-            metric = protocol.metric_field(message)
-            scorer = get_metric(metric)
-            with self.metrics.timed(f"topk|metric={metric}"):
-                with self._lock.read_locked():
-                    dyn = self._checked_index(message)
-                    version = dyn.graph_version
-                    hit, payload = self._cache.get((metric, k, tau, version))
-                    if not hit:
-                        payload = {
-                            "items": [
-                                [u, v, score]
-                                for (u, v), score in scorer.topk(
-                                    dyn.graph, k, tau=tau, index=dyn
-                                )
-                            ],
-                            "graph_version": version,
-                            "metric": metric,
-                        }
-                        self._cache.put((metric, k, tau, version), payload)
-                    return dict(payload, cached=hit, batched=1)
-        if op == "score":
-            u = protocol.vertex_field(message, "u")
-            v = protocol.vertex_field(message, "v")
-            tau = protocol.int_field(message, "tau", default=2)
-            metric = protocol.metric_field(message)
-            scorer = get_metric(metric)
-            with self.metrics.timed(f"score|metric={metric}"):
-                with self._lock.read_locked():
-                    dyn = self._checked_index(message)
-                    return {
-                        "edge": [u, v],
-                        "tau": tau,
-                        "metric": metric,
-                        "score": scorer.score(
-                            dyn.graph, (u, v), tau=tau, index=dyn
-                        ),
-                        "in_graph": dyn.graph.has_edge(u, v),
-                        "graph_version": dyn.graph_version,
-                    }
-        if op == "stats":
-            with self._lock.read_locked():
-                dyn = self._checked_index(message)
-                counters = dyn.mutation_counters
-                return {
-                    "n": dyn.graph.n,
-                    "m": dyn.graph.m,
-                    "graph_version": dyn.graph_version,
-                    "mutations": {
-                        "insertions": counters.insertions,
-                        "deletions": counters.deletions,
-                        "total": counters.total,
-                    },
-                    "index": dyn.index.stats(),
-                    "watches": 0,
-                    "role": "replica",
-                    "replication": self.replication_status(),
-                }
-        raise ProtocolError(protocol.UNKNOWN_OP, f"unknown op: {op!r}")

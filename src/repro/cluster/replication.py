@@ -441,8 +441,8 @@ class ReplicationPublisher:
 class ReplicationTailer:
     """Replica side: maintain the connection to the writer's publisher.
 
-    Runs on a daemon thread (the replica's *serve* path stays on the
-    event loop; only the replication client blocks here).  The three
+    Runs on a daemon thread of its own, apart from the replica's serve
+    threads; only the replication client blocks here.  The three
     callbacks run on this thread:
 
     * ``on_snapshot(state_dict)`` -- replace the replica's whole state;

@@ -142,12 +142,6 @@ class Router:
         self.config = config
         self.metrics = MetricsRegistry()
         self._loop = EventLoop()
-        self._loop.overflow_response = protocol.encode(
-            protocol.error_response(
-                protocol.BAD_REQUEST,
-                f"request line exceeds {protocol.MAX_LINE_BYTES} bytes",
-            )
-        )
         self._listener = self._loop.listen(
             config.host, config.port, self._on_client_line,
             idle_timeout=config.idle_timeout,

@@ -224,6 +224,23 @@ class QueryEngine:
         """
         return self._lock.read_locked()
 
+    def install(self, dyn: DynamicESDIndex) -> None:
+        """Replace the served index wholesale (a replica's snapshot load).
+
+        Under the write lock: the engine's two mutation hooks move to
+        ``dyn``, the invariant sampler (if any) follows, and the result
+        cache is cleared -- versions of the old index say nothing about
+        the new one.  Registered watches stay on the old index (replicas,
+        the one caller, refuse ``watch``).
+        """
+        dyn.subscribe(self._on_mutation)
+        dyn.subscribe_batch(self._on_batch)
+        with self._lock.write_locked():
+            self._dyn = dyn
+            if self.sampler is not None:
+                self.sampler._dyn = dyn
+            self._cache.clear()
+
     def close(self) -> None:
         """Flush durability state and release file handles.
 

@@ -79,6 +79,11 @@ class ServerConfig:
 class _LineHandler(socketserver.StreamRequestHandler):
     """One connection: read request lines, write response lines."""
 
+    # Each response is its own write.  With Nagle on, the answer to a
+    # pipelined request (the router sends many on one link) waits for
+    # the peer's delayed ACK of the previous answer -- up to 40 ms.
+    disable_nagle_algorithm = True
+
     def handle(self) -> None:
         server: "_TCPServer" = self.server  # type: ignore[assignment]
         while True:
@@ -88,23 +93,33 @@ class _LineHandler(socketserver.StreamRequestHandler):
                 return
             if not line:
                 return
+            if len(line) > protocol.MAX_LINE_BYTES and not line.endswith(b"\n"):
+                # The line was cut mid-request and its tail cannot be
+                # framed: answer once and close, as the router does.
+                self._send(protocol.encode(protocol.error_response(
+                    protocol.BAD_REQUEST,
+                    f"request line exceeds {protocol.MAX_LINE_BYTES} bytes",
+                )))
+                return
             stripped = line.strip()
             if not stripped:
                 continue
             if protocol.is_http_get(stripped):
                 # Prometheus/text scrape: answer with HTTP and close.
-                try:
-                    self.wfile.write(server.owner.handle_http_get())
-                    self.wfile.flush()
-                except OSError:
-                    pass
+                self._send(server.owner.handle_http_get())
                 return
             response = server.owner.handle_line(stripped)
-            try:
-                self.wfile.write(protocol.encode(response))
-                self.wfile.flush()
-            except OSError:
+            if not self._send(protocol.encode(response)):
                 return
+
+    def _send(self, data: bytes) -> bool:
+        """Write and flush ``data``; False once the peer is gone."""
+        try:
+            self.wfile.write(data)
+            self.wfile.flush()
+        except OSError:
+            return False
+        return True
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):

@@ -4,7 +4,9 @@ For randomized mutation streams (the same generator the persistence
 differential tests use), a writer + 2 replicas cluster must satisfy:
 at every quiesce point ``v``, each replica's ``topk``/``stats`` answers
 over the wire are *bit-identical* to a single-process
-:class:`DynamicESDIndex` replayed to version ``v``.  Failures reuse the
+:class:`DynamicESDIndex` replayed to version ``v``, and its answers for
+the rest of the metric family (``topk``, ``score``, ``stats``) equal the
+writer's at ``v`` -- one serve path for both roles.  Failures reuse the
 persistence harness's delta-debugging shrinker (``shrink_case`` with a
 cluster-specific ``check``) so the report names a minimal stream.
 """
@@ -22,6 +24,9 @@ from tests.persistence.harness import Case, generate_case, shrink_case
 SEEDS = (1, 7, 23)
 QUERY_PAIRS = ((1, 1), (5, 1), (10, 2), (4, 3))
 CHUNKS = 3  # quiesce points per stream
+#: Non-``esd`` metrics whose replica answers must match the writer's.
+PARITY_METRICS = ("truss", "common_neighbors")
+SCORED_EDGES = 3  # edges of each chunk whose scores are compared
 
 
 def _wait_applied(replicas, version, timeout=30.0):
@@ -31,6 +36,35 @@ def _wait_applied(replicas, version, timeout=30.0):
             return True
         time.sleep(0.01)
     return False
+
+
+def _role_view(client, version, edges):
+    """One node's answers that replicas and the writer must agree on.
+
+    ``topk`` for the non-``esd`` metrics, ``score`` of ``edges`` under
+    every parity metric plus ``esd``, and ``stats`` without the
+    replica-only ``role``/``replication`` keys.
+    """
+    view = {}
+    for metric in PARITY_METRICS:
+        for k, tau in QUERY_PAIRS:
+            view[("topk", metric, k, tau)] = client.request(
+                "topk", k=k, tau=tau, metric=metric, min_version=version
+            )
+    for u, v in edges:
+        for metric in ("esd",) + PARITY_METRICS:
+            view[("score", metric, u, v)] = client.request(
+                "score", u=u, v=v, metric=metric, min_version=version
+            )
+    stats = client.request("stats", min_version=version)
+    stats.pop("role", None)
+    stats.pop("replication", None)
+    view[("stats",)] = stats
+    for key, result in view.items():
+        if key[0] == "topk":
+            result.pop("cached")
+            result.pop("batched")
+    return view
 
 
 def check_cluster_case(case: Case, _tmp_dir=None):
@@ -57,7 +91,8 @@ def check_cluster_case(case: Case, _tmp_dir=None):
             return "replicas never bootstrapped"
         chunk = max(1, (len(case.ops) + CHUNKS - 1) // CHUNKS)
         for start in range(0, len(case.ops), chunk):
-            for action, u, v in case.ops[start:start + chunk]:
+            ops = case.ops[start:start + chunk]
+            for action, u, v in ops:
                 try:
                     writer.engine.update(action, u, v)
                 except (ValueError, KeyError):
@@ -77,6 +112,9 @@ def check_cluster_case(case: Case, _tmp_dir=None):
                 ]
                 for k, tau in QUERY_PAIRS
             }
+            edges = [(u, v) for _action, u, v in ops[:SCORED_EDGES]]
+            with ServiceClient(*writer.address) as client:
+                writer_view = _role_view(client, version, edges)
             for replica in replicas:
                 with ServiceClient(*replica.address) as client:
                     for k, tau in QUERY_PAIRS:
@@ -103,6 +141,14 @@ def check_cluster_case(case: Case, _tmp_dir=None):
                             f"({stats['n']}, {stats['m']}) != "
                             f"({reference.graph.n}, {reference.graph.m})"
                         )
+                    replica_view = _role_view(client, version, edges)
+                    for key, expected_result in writer_view.items():
+                        if replica_view[key] != expected_result:
+                            return (
+                                f"{replica.config.name} {key} at "
+                                f"v{version}: {replica_view[key]} != "
+                                f"writer's {expected_result}"
+                            )
         return None
     finally:
         for replica in replicas:

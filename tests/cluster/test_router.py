@@ -1,6 +1,7 @@
 """Router behaviour: routing policy, version tokens, degradation, eviction."""
 
 import functools
+import socket
 import time
 
 import pytest
@@ -112,11 +113,21 @@ class TestRouting:
             result = client.request("topk", k=5, min_version=version)
             assert result["graph_version"] >= version
 
-    def test_replica_is_read_only(self, cluster):
+    @pytest.mark.parametrize(
+        "op, fields",
+        [
+            ("update", {"action": "insert", "u": 1, "v": 99}),
+            ("watch", {"k": 5, "tau": 2}),
+            ("changes", {"watch_id": 1}),
+            ("unwatch", {"watch_id": 1}),
+        ],
+        ids=["update", "watch", "changes", "unwatch"],
+    )
+    def test_replica_is_read_only(self, cluster, op, fields):
         writer, replicas, router = cluster
         with ServiceClient(*replicas[0].address) as client:
             with pytest.raises(ServiceError) as info:
-                client.request("update", action="insert", u=1, v=99)
+                client.request(op, **fields)
             assert info.value.code == "read_only"
 
     def test_writer_down_fails_writes_fast_reads_keep_serving(self, cluster):
@@ -166,6 +177,50 @@ class TestRouting:
         assert status["role"] == "router"
         assert status["writer"]["connected"] is True
         assert {entry["name"] for entry in status["replicas"]} == {"r0", "r1"}
+
+    def test_replica_batcher_has_no_window(self, cluster):
+        """The router reaches a replica over one link, served by one
+        handler thread: a coalescing window there would only delay it."""
+        writer, replicas, router = cluster
+        with ServiceClient(*replicas[0].address) as client:
+            batcher = client.request("metrics")["batcher"]
+        assert batcher["window_ms"] == 0
+
+
+def test_unbootstrapped_replica_refuses_reads_but_answers_probes():
+    """A replica whose writer never answers serves no state, only probes."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        closed_port = probe.getsockname()[1]
+    replica = ReplicaNode(
+        ReplicaConfig(
+            writer_host="127.0.0.1", writer_repl_port=closed_port, name="orphan"
+        )
+    ).start()
+    try:
+        with ServiceClient(*replica.address) as client:
+            for op, fields in [
+                ("topk", {"k": 5}),
+                ("score", {"u": 0, "v": 1}),
+                ("stats", {}),
+            ]:
+                with pytest.raises(ServiceError) as info:
+                    client.request(op, **fields)
+                assert info.value.code == "unavailable", op
+            assert client.ping()
+            info = client.request("cluster-info")
+            assert info["role"] == "replica"
+            assert info["applied_version"] == -1
+            assert info["lag"] is None
+    finally:
+        replica.shutdown()
+
+
+def test_replica_config_rejects_a_data_dir(tmp_path):
+    with pytest.raises(ValueError, match="data_dir"):
+        ReplicaConfig(
+            writer_host="127.0.0.1", writer_repl_port=1, data_dir=str(tmp_path)
+        )
 
 
 class TestStalenessPolicy:

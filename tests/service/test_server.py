@@ -60,6 +60,29 @@ class TestProtocol:
                 response = json.loads(f.readline())
                 assert response["error"]["code"] == "bad_request"
 
+    def test_oversized_line_answered_once_then_closed(self, server):
+        from repro.service.protocol import MAX_LINE_BYTES
+
+        with socket.create_connection(server.address) as sock:
+            f = sock.makefile("rwb")
+            f.write(b"x" * (MAX_LINE_BYTES + 10) + b"\n")
+            f.write(b'{"op": "ping"}\n')
+            f.flush()
+            response = json.loads(f.readline())
+            assert response["error"]["code"] == "bad_request"
+            try:
+                tail = f.readline()
+            except ConnectionResetError:  # the unread tail may reset
+                tail = b""
+            assert tail == b""  # closed: the cut-off tail is never answered
+
+    def test_connections_disable_nagle(self, server, client):
+        """Each answer is its own small write: the answer to a pipelined
+        request must not wait for the peer's delayed ACK of the last."""
+        assert client.ping()
+        (connection,) = server._tcp._connections
+        assert connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
     def test_unknown_op(self, client):
         with pytest.raises(ServiceError) as info:
             client.request("frobnicate")
