@@ -179,7 +179,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             max_pending=args.max_pending,
             queue_timeout=args.queue_timeout,
-            batch_window=args.batch_window,
             cache_size=args.cache_size,
             data_dir=args.data_dir,
             snapshot_interval=args.snapshot_interval,
@@ -461,18 +460,25 @@ def _cmd_load_run(args: argparse.Namespace) -> int:
     import json
 
     from repro.loadgen import runner
+    from repro.service.client import ServiceError
 
-    summary, prometheus = runner.run_with_scrapes(
-        args.host,
-        args.port,
-        scenario=args.scenario,
-        rate=args.rate,
-        duration=args.duration,
-        workers=args.workers,
-        seed=args.seed,
-        process=args.process,
-        timeout=args.timeout,
-    )
+    try:
+        summary, prometheus = runner.run_with_scrapes(
+            args.host,
+            args.port,
+            scenario=args.scenario,
+            rate=args.rate,
+            duration=args.duration,
+            workers=args.workers,
+            seed=args.seed,
+            process=args.process,
+            timeout=args.timeout,
+        )
+    except ServiceError as exc:
+        # A structured server error, e.g. an edge conflict in the run's
+        # setup: one line, not a traceback.
+        print(f"esd load run: {exc}", file=sys.stderr)
+        return 2
     document = {"summary": summary}
     if prometheus:
         document["prometheus"] = prometheus
@@ -505,21 +511,28 @@ def _cmd_load_sweep(args: argparse.Namespace) -> int:
         save_payload,
         validate_payload,
     )
+    from repro.service.client import ServiceError
 
-    payload = runner.run_sweep(
-        args.host,
-        args.port,
-        scenario=args.scenario,
-        slo=Slo(p99_ms=args.slo_p99_ms, max_error_rate=args.slo_error_rate),
-        lo=args.lo,
-        hi=args.hi,
-        duration=args.duration,
-        workers=args.workers,
-        seed=args.seed,
-        iterations=args.iterations,
-        baseline_duration=args.baseline_duration,
-        timeout=args.timeout,
-    )
+    try:
+        payload = runner.run_sweep(
+            args.host,
+            args.port,
+            scenario=args.scenario,
+            slo=Slo(
+                p99_ms=args.slo_p99_ms, max_error_rate=args.slo_error_rate
+            ),
+            lo=args.lo,
+            hi=args.hi,
+            duration=args.duration,
+            workers=args.workers,
+            seed=args.seed,
+            iterations=args.iterations,
+            baseline_duration=args.baseline_duration,
+            timeout=args.timeout,
+        )
+    except ServiceError as exc:
+        print(f"esd load sweep: {exc}", file=sys.stderr)
+        return 2
     path = save_payload(
         payload, Path(args.output) if args.output else None
     )
@@ -619,10 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--queue-timeout", type=float, default=2.0,
         help="seconds a request may wait for a slot",
-    )
-    p_serve.add_argument(
-        "--batch-window", type=float, default=0.002,
-        help="topk coalescing window in seconds",
     )
     p_serve.add_argument(
         "--cache-size", type=int, default=1024,

@@ -9,8 +9,8 @@ read/write buffers.  That bounds the cost of a client to one
 :class:`Channel` object rather than one OS thread.  The router only
 forwards lines, so running its handlers inline on the loop thread is
 cheap; the query servers stay threaded because their handlers block
-(the batcher's window sleep, WAL fsync) and would stall every
-connection on a loop.
+(a durable writer's WAL fsync) and would stall every connection on a
+loop.
 
 Concepts
 --------

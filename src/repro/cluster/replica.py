@@ -42,10 +42,6 @@ from repro.cluster.router import READ_OPS, WRITE_OPS
 class ReplicaConfig(ServerConfig):
     """A :class:`ServerConfig` plus the replication tailer's tunables."""
 
-    #: No coalescing window: the router sends all of its traffic to a
-    #: replica over one link, served by one handler thread, so a window
-    #: would find nothing to coalesce and stall every queued request.
-    batch_window: float = 0.0
     _: KW_ONLY
     writer_host: str
     writer_repl_port: int

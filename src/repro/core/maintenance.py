@@ -60,13 +60,6 @@ class MutationCounters:
 #: ``(kind, edge, new_version)`` with ``kind in {"insert", "delete"}``.
 MutationCallback = Callable[[str, Edge, int], None]
 
-#: Signature of :meth:`DynamicESDIndex.subscribe_batch` callbacks:
-#: ``(events, version)`` where ``events`` is the ordered
-#: ``[(kind, edge), ...]`` of one committed batch (a single-edge update
-#: is a one-element batch) and ``version`` is the index version after
-#: the whole batch.
-BatchCallback = Callable[[List[Tuple[str, Edge]], int], None]
-
 
 class DynamicESDIndex:
     """ESDIndex plus the state needed to maintain it under edge updates."""
@@ -79,10 +72,6 @@ class DynamicESDIndex:
         self._version = 0
         self._mutations = MutationCounters()
         self._subscribers: List[MutationCallback] = []
-        self._batch_subscribers: List[BatchCallback] = []
-        #: Non-None while ``apply_batch`` is draining: committed events
-        #: accumulate here and batch subscribers see them once, at the end.
-        self._pending_events: "List[Tuple[str, Edge]] | None" = None
         self._kmaint: "MaintenanceKernel | None" = None
 
     # -- read-only views ------------------------------------------------------
@@ -125,17 +114,6 @@ class DynamicESDIndex:
         """
         self._subscribers.append(callback)
 
-    def subscribe_batch(self, callback: BatchCallback) -> None:
-        """Register ``callback(events, version)``, fired once per commit
-        *group*: once per single-edge mutation, and once -- with the full
-        ordered event list -- per :meth:`apply_batch`.  This is the hook
-        for work that amortizes over a batch (the engine notifies each
-        metric scorer once per batch, not once per edge); subscribers
-        needing every intermediate version (replication) use
-        :meth:`subscribe`.  Same threading contract as :meth:`subscribe`.
-        """
-        self._batch_subscribers.append(callback)
-
     def _committed(self, kind: str, edge: Edge) -> None:
         """Record one successful mutation and notify subscribers."""
         self._version += 1
@@ -145,12 +123,6 @@ class DynamicESDIndex:
             self._mutations.deletions += 1
         for callback in self._subscribers:
             callback(kind, edge, self._version)
-        if self._pending_events is not None:
-            self._pending_events.append((kind, edge))
-        elif self._batch_subscribers:
-            events = [(kind, edge)]
-            for callback in self._batch_subscribers:
-                callback(events, self._version)
 
     @property
     def index(self) -> ESDIndex:
@@ -525,29 +497,16 @@ class DynamicESDIndex:
                     label for pair in insertions for label in pair
                 )
         total = UpdateStats()
-        # Buffer per-edge commits so batch subscribers fire once, with
-        # the whole event list, after the index is consistent for the
-        # entire batch.  The finally flushes whatever *did* commit even
-        # if a constituent update raises -- batch subscribers must never
-        # miss an applied mutation.
-        self._pending_events = []
-        try:
-            for u, v in deletions:
-                s = self.delete_edge(u, v)
-                total.common_neighbors += s.common_neighbors
-                total.ego_edges += s.ego_edges
-                total.edges_rescored += s.edges_rescored
-            for u, v in insertions:
-                s = self.insert_edge(u, v)
-                total.common_neighbors += s.common_neighbors
-                total.ego_edges += s.ego_edges
-                total.edges_rescored += s.edges_rescored
-        finally:
-            events = self._pending_events
-            self._pending_events = None
-            if events:
-                for callback in self._batch_subscribers:
-                    callback(events, self._version)
+        for u, v in deletions:
+            s = self.delete_edge(u, v)
+            total.common_neighbors += s.common_neighbors
+            total.ego_edges += s.ego_edges
+            total.edges_rescored += s.edges_rescored
+        for u, v in insertions:
+            s = self.insert_edge(u, v)
+            total.common_neighbors += s.common_neighbors
+            total.ego_edges += s.ego_edges
+            total.edges_rescored += s.edges_rescored
         return total
 
     # -- state export / restore (persistence layer) --------------------------
@@ -617,8 +576,6 @@ class DynamicESDIndex:
             insertions=state["insertions"], deletions=state["deletions"]
         )
         self._subscribers = []
-        self._batch_subscribers = []
-        self._pending_events = None
         self._kmaint = None
         return self
 

@@ -20,9 +20,9 @@ from repro.loadgen.scenario import PROFILES, build_plan
 from repro.loadgen.schedule import Stage, arrival_times
 from repro.service.client import ServiceClient
 
-#: Vertex-id stride between sweep trials, so every trial's mutation pool
+#: Vertex-id stride between run namespaces, so every run's mutation pool
 #: is disjoint from every other's (inserts never collide, deletes never
-#: touch another trial's edges).
+#: touch another run's edges).
 TRIAL_EDGE_STRIDE = 10_000_000
 
 
@@ -30,6 +30,25 @@ def client_factory(
     host: str, port: int, timeout: float = 30.0
 ) -> Callable[[], ServiceClient]:
     return lambda: ServiceClient(host, port, timeout=timeout)
+
+
+def fresh_edge_base(host: str, port: int, timeout: float = 30.0) -> int:
+    """An edge namespace that no earlier run against this server used.
+
+    Namespaces are indexed by the server's ``graph_version``.  A run that
+    left any edge in the graph advanced that version, so each later run
+    starts above every earlier run's namespace: runs and sweeps can be
+    repeated against one live server.
+    """
+    with ServiceClient(host, port, timeout=timeout) as client:
+        stats = client.stats()
+        version = stats["graph_version"]
+        if stats.get("role") == "replica":
+            # Routed read: the replica may trail writes acked through the
+            # router, whose view of the writer version does not.
+            status = client.request("cluster-status")
+            version = max(version, status["writer_version"])
+    return LOADGEN_EDGE_BASE + version * TRIAL_EDGE_STRIDE
 
 
 def run_scenario(
@@ -42,10 +61,11 @@ def run_scenario(
     seed: int = 0,
     process: str = "poisson",
     timeout: float = 30.0,
-    edge_base: int = LOADGEN_EDGE_BASE,
     clock: Clock = SYSTEM_CLOCK,
 ) -> Dict:
-    """One open-loop trial; returns the :func:`summarize` record."""
+    """One open-loop trial in a :func:`fresh_edge_base` namespace;
+    returns the :func:`summarize` record."""
+    edge_base = fresh_edge_base(host, port, timeout)
     profile = PROFILES[scenario]
     stages = [Stage(duration=duration, rate=rate, process=process)]
     deadlines = arrival_times(stages, seed=seed)
@@ -107,7 +127,6 @@ def run_sweep(
     trial = [0]
 
     def probe(rate: float) -> Dict:
-        base = LOADGEN_EDGE_BASE + trial[0] * TRIAL_EDGE_STRIDE
         trial[0] += 1
         return run_scenario(
             host,
@@ -118,7 +137,6 @@ def run_sweep(
             workers=workers,
             seed=seed + trial[0],
             timeout=timeout,
-            edge_base=base,
             clock=clock,
         )
 

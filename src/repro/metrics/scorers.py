@@ -19,9 +19,6 @@ The scorer contract
 * ``topk(graph, k, tau=..., index=...)`` -- the ranked top-k
   ``[(edge, value), ...]`` with a deterministic, mixed-label-safe
   tie-break;
-* ``on_mutation(kind, edge, version)`` / ``on_batch(events, version)``
-  -- incremental-maintenance hooks the engine calls after committed
-  updates (``on_batch`` once per ``apply_batch``, with the edge list);
 * ``warm(graph)`` -- precompute whatever ``topk`` would need; the
   engine's opt-in background warmer calls it after mutations so the
   next query hits a hot table.
@@ -35,8 +32,10 @@ Whole-graph score tables (truss numbers, ego-betweenness) are memoized
 against ``graph.revision`` in a **single-flight** cache: concurrent
 queries hitting a stale revision share one computation (the first
 thread computes, the rest wait -- counted in ``memo_waits`` /
-``memo_stampedes_avoided``) instead of each recomputing.  The truss
-table is additionally maintained **incrementally**: the memo hands the
+``memo_stampedes_avoided``) instead of each recomputing.  The revision
+key is the whole freshness contract: a scorer needs no mutation hook,
+because a read after any write sees a new revision and recomputes.  The
+truss table is additionally maintained **incrementally**: the memo hands the
 previous ``(revision, table)`` to the compute function, which re-peels
 only the triangle-connected region around the mutated edges
 (``truss_repeels``) and falls back to a full decomposition past a delta
@@ -45,7 +44,7 @@ threshold (``truss_rebuilds``) -- the same patch-vs-rebuild policy as
 
 Adding a metric is ~50 lines: subclass :class:`MetricScorer`, implement
 ``score``/``topk``, call :func:`register_metric` -- the protocol field,
-cache keys, batcher keys, CLI choices, per-metric latency labels and
+cache and single-flight keys, CLI choices, per-metric latency labels and
 Prometheus export all follow from the registry.
 """
 
@@ -54,7 +53,7 @@ from __future__ import annotations
 import heapq
 import threading
 import weakref
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analytics.betweenness import (
     all_edge_ego_betweenness,
@@ -216,12 +215,6 @@ class _RevisionMemo:
             self._cond.notify_all()
         return table
 
-    def invalidate(self) -> None:
-        with self._cond:
-            self._ref = None
-            self._revision = -1
-            self._table = None
-
     def stats(self) -> Dict[str, int]:
         """JSON-ready counters (fed to the ``scorer_memos`` registry source)."""
         return {
@@ -253,27 +246,6 @@ class MetricScorer:
         """Top-k edges, highest metric first, deterministic tie-break."""
         raise NotImplementedError
 
-    def on_mutation(self, kind: str, edge: Edge, version: int) -> None:
-        """Incremental-maintenance hook: one committed edge update.
-
-        The default is a no-op; scorers that cache whole-graph tables
-        override it to drop them eagerly (revision keying already makes
-        stale reuse impossible -- this only reclaims the memory sooner).
-        """
-
-    def on_batch(
-        self, events: Sequence[Tuple[str, Edge]], version: int
-    ) -> None:
-        """Batched maintenance hook: one committed ``apply_batch``.
-
-        ``events`` is the ordered ``(kind, edge)`` list of the batch;
-        ``version`` is the index version after the whole batch.  The
-        default replays :meth:`on_mutation` per event, so scorers only
-        override this when they can do better than per-edge handling.
-        """
-        for kind, edge in events:
-            self.on_mutation(kind, edge, version)
-
     def warm(self, graph: Graph) -> None:
         """Precompute whatever :meth:`topk` needs for ``graph``'s current
         revision.  Default no-op; memoized scorers populate their table
@@ -293,7 +265,7 @@ class EsdScorer(MetricScorer):
     the engine made before the registry existed, so ``metric=esd``
     results (values, tie order, dict order) are bit-identical to the
     pre-metric serving path.  Incremental maintenance is the index's own
-    Algorithms 4/5; the hook here has nothing left to do.
+    Algorithms 4/5.
     """
 
     name = "esd"
@@ -413,10 +385,6 @@ class TrussScorer(MetricScorer):
     def warm(self, graph):
         self._memo.get(graph)
 
-    def on_mutation(self, kind, edge, version):
-        """Deliberately keep the table: it is the base the next read
-        patches against (revision keying already prevents stale serves)."""
-
 
 class EgoBetweennessScorer(MetricScorer):
     """Ego-betweenness (Zhang et al.): betweenness restricted to the
@@ -446,9 +414,6 @@ class EgoBetweennessScorer(MetricScorer):
     def warm(self, graph):
         self._memo.get(graph)
 
-    def on_mutation(self, kind, edge, version):
-        self._memo.invalidate()
-
 
 class BetweennessScorer(MetricScorer):
     """Normalized *global* edge betweenness (Brandes) -- the ``BT``
@@ -474,9 +439,6 @@ class BetweennessScorer(MetricScorer):
 
     def warm(self, graph):
         self._memo.get(graph)
-
-    def on_mutation(self, kind, edge, version):
-        self._memo.invalidate()
 
 
 class CommonNeighborsScorer(MetricScorer):
@@ -514,9 +476,6 @@ class CommonNeighborsScorer(MetricScorer):
 
     def warm(self, graph):
         self._memo.get(graph)
-
-    def on_mutation(self, kind, edge, version):
-        self._memo.invalidate()
 
 
 # -- registry ------------------------------------------------------------------

@@ -5,7 +5,7 @@ The modules compose bottom-up:
 =================  =======================================================
 ``rwlock``         write-preferring readers-writer lock (snapshot reads)
 ``cache``          LRU result cache keyed by ``(k, τ, graph_version)``
-``batcher``        coalesces concurrent topk queries into one index pass
+``batcher``        single-flights concurrent identical topk cache misses
 ``metrics``        per-endpoint counters and latency quantiles
 ``engine``         :class:`QueryEngine` -- the transport-independent core
 ``protocol``       JSON line framing, envelopes, error codes

@@ -1,30 +1,26 @@
-"""Request batching: coalesce concurrent top-k queries into one index pass.
+"""Request coalescing: single-flight for concurrent top-k cache misses.
 
-Under concurrent load many clients ask for the same or similar
-``(metric, k, τ)`` at the same graph version.  The batcher turns a burst
-of concurrent ``submit`` calls into a single execution:
+Under concurrent load many clients ask for the same ``(metric, k, τ)``
+at the same graph version.  The batcher keys every request by the full
+cache key ``(metric, k, τ, version)`` and turns concurrent identical
+misses into one computation:
 
-* the first caller in an idle batcher becomes the **leader**: it waits
-  ``window`` seconds for followers to pile in, then drains the pending
-  set and runs ``execute`` once over all distinct ``(metric, k, τ)``
-  keys (the engine runs that under a single read-lock acquisition -- one
-  index pass);
-* every other caller (a **follower**) parks on its key's event and wakes
-  with the shared result;
-* duplicate keys within a batch are answered by one computation
-  (single-flight), so a thundering herd of identical queries costs one
-  ``topk`` regardless of herd size.
+* the first caller on a key becomes the **leader** and runs
+  ``execute(key)`` at once -- there is no timer;
+* every caller that submits the same key while the leader is still
+  running (a **follower**) parks on the key's event and wakes with the
+  shared result;
+* callers on different keys never wait for each other.
 
-``window = 0`` degenerates to pure single-flight: no deliberate delay,
-but queries that arrive while a batch is executing still coalesce into
-the next one.
+Keying on the version is what keeps reads fresh: a request that read a
+newer version after a committed write never joins a flight started for
+an older one.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Any, Callable, Dict, Hashable, List, Tuple
+from typing import Any, Callable, Dict, Hashable, Tuple
 
 from repro.obs.trace import TRACER
 
@@ -32,12 +28,12 @@ from repro.obs.trace import TRACER
 def _per_waiter_error(exc: BaseException) -> BaseException:
     """A fresh exception instance for one waiter to raise.
 
-    A failed batch is observed by *every* waiter concurrently; raising
-    the one shared instance from each waiter thread made the threads
-    race on ``exc.__traceback__`` (every ``raise`` rewrites it), so a
-    traceback captured in one thread could show frames from another.
-    Each waiter gets its own copy instead, chained to the original via
-    ``__cause__`` so nothing about the root failure is lost.
+    A failed computation is observed by *every* waiter concurrently;
+    raising the one shared instance from each waiter thread made the
+    threads race on ``exc.__traceback__`` (every ``raise`` rewrites it),
+    so a traceback captured in one thread could show frames from
+    another.  Each waiter gets its own copy instead, chained to the
+    original via ``__cause__`` so nothing about the root failure is lost.
     """
     try:
         copy = type(exc)(*exc.args)
@@ -48,8 +44,8 @@ def _per_waiter_error(exc: BaseException) -> BaseException:
     return copy
 
 
-class _Pending:
-    """One distinct key awaited by one or more callers."""
+class _Flight:
+    """One in-progress computation and the callers awaiting it."""
 
     __slots__ = ("event", "result", "error", "waiters")
 
@@ -61,24 +57,15 @@ class _Pending:
 
 
 class TopKBatcher:
-    """Window-based coalescer; see module docstring.
+    """Single-flight coalescer; see module docstring.
 
-    ``execute`` receives the list of distinct pending keys and must
-    return ``{key: result}`` covering all of them.
+    ``execute`` receives one key and returns its result.
     """
 
-    def __init__(
-        self,
-        execute: Callable[[List[Hashable]], Dict[Hashable, Any]],
-        window: float = 0.002,
-    ) -> None:
-        if window < 0:
-            raise ValueError(f"window must be >= 0, got {window}")
+    def __init__(self, execute: Callable[[Hashable], Any]) -> None:
         self._execute = execute
-        self.window = window
         self._lock = threading.Lock()
-        self._pending: Dict[Hashable, _Pending] = {}
-        self._leader_active = False
+        self._flights: Dict[Hashable, _Flight] = {}
         # accounting
         self.batches = 0
         self.requests = 0
@@ -89,54 +76,43 @@ class TopKBatcher:
         """Submit ``key``; return ``(result, batch_requests)``.
 
         ``batch_requests`` is the number of requests answered by the
-        batch this key rode in (1 = no coalescing happened).
+        computation this key rode in (1 = no coalescing happened).
         """
         with self._lock:
-            entry = self._pending.get(key)
-            if entry is None:
-                entry = _Pending()
-                self._pending[key] = entry
-            entry.waiters += 1
-            self.requests += 1
-            lead = not self._leader_active
+            flight = self._flights.get(key)
+            lead = flight is None
             if lead:
-                self._leader_active = True
+                flight = _Flight()
+                self._flights[key] = flight
+            flight.waiters += 1
+            self.requests += 1
         with TRACER.span(
             "batcher.submit", role="leader" if lead else "follower"
         ) as span:
             if lead:
-                self._run_batch()
-            if not entry.event.wait(timeout):
+                self._run(key, flight)
+            if not flight.event.wait(timeout):
                 raise TimeoutError(f"batched query timed out after {timeout}s")
-            if entry.error is not None:
-                raise _per_waiter_error(entry.error)
-            span.set(batch_requests=entry.result[1])
-            return entry.result
+            if flight.error is not None:
+                raise _per_waiter_error(flight.error)
+            span.set(batch_requests=flight.result[1])
+            return flight.result
 
-    def _run_batch(self) -> None:
-        if self.window:
-            time.sleep(self.window)
-        with self._lock:
-            batch = self._pending
-            self._pending = {}
-            self._leader_active = False
-            batch_requests = sum(e.waiters for e in batch.values())
-            self.batches += 1
-            self.coalesced += batch_requests - len(batch)
-            self.largest_batch = max(self.largest_batch, batch_requests)
+    def _run(self, key: Hashable, flight: _Flight) -> None:
         try:
-            results = self._execute(list(batch))
+            result = self._execute(key)
         except BaseException as exc:  # propagate to every waiter
-            for entry in batch.values():
-                entry.error = exc
-                entry.event.set()
-            return
-        for key, entry in batch.items():
-            if key in results:
-                entry.result = (results[key], batch_requests)
-            else:
-                entry.error = KeyError(f"execute returned no result for {key!r}")
-            entry.event.set()
+            flight.error = exc
+        with self._lock:
+            # Closing the flight: later submits of this key start anew.
+            del self._flights[key]
+            batch_requests = flight.waiters
+            self.batches += 1
+            self.coalesced += batch_requests - 1
+            self.largest_batch = max(self.largest_batch, batch_requests)
+        if flight.error is None:
+            flight.result = (result, batch_requests)
+        flight.event.set()
 
     def stats(self) -> Dict[str, object]:
         with self._lock:
@@ -145,5 +121,4 @@ class TopKBatcher:
                 "batches": self.batches,
                 "coalesced": self.coalesced,
                 "largest_batch": self.largest_batch,
-                "window_ms": self.window * 1000,
             }

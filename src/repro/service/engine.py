@@ -14,9 +14,9 @@ composes the serving-layer pieces around one
   stale versions eagerly and the version component (kept last, which is
   what the purge keys on) makes stale hits impossible (see
   :mod:`repro.service.cache`);
-* **batching** -- concurrent ``topk`` calls coalesce through a
-  :class:`~repro.service.batcher.TopKBatcher` into one read-locked index
-  pass per distinct ``(metric, k, τ)``;
+* **single-flight** -- concurrent ``topk`` misses on the same
+  ``(metric, k, τ, version)`` share one read-locked computation through
+  a :class:`~repro.service.batcher.TopKBatcher`;
 * **metric family** -- ``topk``/``score`` take a ``metric`` selector
   resolved through the :mod:`repro.metrics` scorer registry; ``esd``
   (the default) answers straight from the maintained index, the other
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.maintenance import DynamicESDIndex
 from repro.core.monitor import TopKChange, TopKMonitor
@@ -53,7 +53,6 @@ from repro.kernels.shm import shm_metrics
 from repro.metrics import (
     DEFAULT_METRIC,
     get_metric,
-    metric_names,
     scorer_stats,
 )
 from repro.obs.registry import UnifiedRegistry
@@ -118,7 +117,6 @@ class QueryEngine:
         store=None,
         snapshot_interval: int = 1000,
         cache_size: int = 1024,
-        batch_window: float = 0.002,
         slow_query_threshold: float = 0.25,
         slow_log_capacity: int = 128,
         invariant_check_interval: int = 0,
@@ -146,7 +144,7 @@ class QueryEngine:
         self._since_snapshot = 0
         self._lock = RWLock()
         self._cache = ResultCache(cache_size)
-        self._batcher = TopKBatcher(self._run_batch, window=batch_window)
+        self._batcher = TopKBatcher(self._run_batch)
         self.slow_log = SlowQueryLog(
             threshold=slow_query_threshold, capacity=slow_log_capacity
         )
@@ -172,11 +170,7 @@ class QueryEngine:
         self._watch_lock = threading.Lock()
         self._watches: Dict[int, _Watch] = {}
         self._watch_ids = itertools.count(1)
-        # Per-edge hook: sampler + watch bookkeeping need every version.
-        # Batch hook: cache purge + scorer maintenance fire once per
-        # commit group (once per apply_batch instead of once per edge).
         self._dyn.subscribe(self._on_mutation)
-        self._dyn.subscribe_batch(self._on_batch)
         # Opt-in background warmer: after mutations, recompute the named
         # scorers' tables off the query path.
         self._warm_metrics: Tuple[str, ...] = tuple(warm_metrics or ())
@@ -227,14 +221,13 @@ class QueryEngine:
     def install(self, dyn: DynamicESDIndex) -> None:
         """Replace the served index wholesale (a replica's snapshot load).
 
-        Under the write lock: the engine's two mutation hooks move to
+        Under the write lock: the engine's mutation hook moves to
         ``dyn``, the invariant sampler (if any) follows, and the result
         cache is cleared -- versions of the old index say nothing about
         the new one.  Registered watches stay on the old index (replicas,
         the one caller, refuse ``watch``).
         """
         dyn.subscribe(self._on_mutation)
-        dyn.subscribe_batch(self._on_batch)
         with self._lock.write_locked():
             self._dyn = dyn
             if self.sampler is not None:
@@ -297,22 +290,13 @@ class QueryEngine:
 
     def _on_mutation(self, kind: str, edge, version: int) -> None:
         # Runs under the write lock, once per committed edge update.
+        # Scorer tables need no hook: their memos key on graph.revision.
         if self.sampler is not None and self.sampler.on_mutation(version):
             # Violation details live in the sampler's own metrics stanza.
             self.metrics.incr("invariant_checks")
-
-    def _on_batch(self, events, version: int) -> None:
-        # Runs under the write lock, once per commit group (a single
-        # update is a one-event group; apply_batch delivers the whole
-        # ordered event list at its final version).
         purged = self._cache.purge_stale(version)
         if purged:
             self.metrics.incr("cache_purged_entries", purged)
-        for name in metric_names():
-            # The scorers' incremental-maintenance hook, once per scorer
-            # per batch -- invalidating a memo N times per batch bought
-            # nothing.
-            get_metric(name).on_batch(events, version)
         if self._warm_thread is not None:
             with self._warm_cond:
                 self._warm_dirty = True
@@ -342,50 +326,46 @@ class QueryEngine:
                     self.metrics.incr("metric_warm_errors")
             self.metrics.incr("metric_warm_passes")
 
-    def _run_batch(
-        self, keys: List[Hashable]
-    ) -> Dict[Hashable, Dict[str, Any]]:
-        """Answer all distinct ``(metric, k, τ)`` keys in one read-locked pass."""
-        results: Dict[Hashable, Dict[str, Any]] = {}
-        with TRACER.span("engine.batch", keys=len(keys)) as span:
-            hits = 0
+    def _run_batch(self, key: Tuple[str, int, int, int]) -> Dict[str, Any]:
+        """Answer one ``(metric, k, τ, version)`` key under the read lock.
+
+        A write may have landed since the caller read ``version``; the
+        answer is then computed at the current version, which is never
+        older than the one the caller saw.
+        """
+        metric, k, tau, _ = key
+        with TRACER.span("engine.batch") as span:
             with self._lock.read_locked():
                 version = self._dyn.graph_version
-                for key in keys:
-                    metric, k, tau = key
-                    hit, payload = self._cache.get((metric, k, tau, version))
-                    if hit:
-                        hits += 1
-                    else:
-                        scorer = get_metric(metric)
-                        payload = {
-                            "items": _items(
-                                scorer.topk(
-                                    self._dyn.graph, k,
-                                    tau=tau, index=self._dyn,
-                                )
-                            ),
-                            "graph_version": version,
-                            "metric": metric,
-                        }
-                        self._cache.put((metric, k, tau, version), payload)
-                    results[key] = payload
-            span.set(cache_hits=hits, graph_version=version)
-        return results
+                cache_key = (metric, k, tau, version)
+                hit, payload = self._cache.get(cache_key)
+                if not hit:
+                    scorer = get_metric(metric)
+                    payload = {
+                        "items": _items(
+                            scorer.topk(
+                                self._dyn.graph, k, tau=tau, index=self._dyn
+                            )
+                        ),
+                        "graph_version": version,
+                        "metric": metric,
+                    }
+                    self._cache.put(cache_key, payload)
+            span.set(cache_hits=int(hit), graph_version=version)
+        return payload
 
     # -- read endpoints -------------------------------------------------------
 
     def topk(
         self, k: int = 10, tau: int = 2, metric: str = DEFAULT_METRIC
     ) -> Dict[str, Any]:
-        """Top-k query; served from cache or a coalesced index pass.
+        """Top-k query; served from cache or a single-flight computation.
 
         ``metric`` selects the scorer (see :mod:`repro.metrics`):
         ``esd`` (default, the paper's index-backed structural
         diversity), ``truss``, ``betweenness``, ``common_neighbors``...
-        Cache keys are ``(metric, k, τ, version)`` and batch keys
-        ``(metric, k, τ)``, so two metrics never share a cache entry or
-        coalesce into one batched result.
+        Cache and single-flight keys are both ``(metric, k, τ, version)``,
+        so two metrics never share a cache entry or a computation.
         """
         _validate_k_tau(k, tau)
         _validate_metric(metric)
@@ -398,15 +378,13 @@ class QueryEngine:
                 # valid by keying even if a writer lands concurrently --
                 # the answer was current at some instant inside this
                 # request.
-                version = self._dyn.graph_version
-                hit, payload = self._cache.get((metric, k, tau, version))
+                key = (metric, k, tau, self._dyn.graph_version)
+                hit, payload = self._cache.get(key)
                 if hit:
-                    span.set(cache="hit", graph_version=version)
+                    span.set(cache="hit", graph_version=key[3])
                     return dict(payload, cached=True, batched=1)
                 span.set(cache="miss")
-                payload, batch_requests = self._batcher.submit(
-                    (metric, k, tau)
-                )
+                payload, batch_requests = self._batcher.submit(key)
                 span.set(batched=batch_requests)
                 return dict(payload, cached=False, batched=batch_requests)
 

@@ -41,7 +41,6 @@ class ServerConfig:
     port: int = 0  #: 0 = ephemeral; read the bound port from ``address``
     max_pending: int = 64  #: admission-control slots (queued + executing)
     queue_timeout: float = 2.0  #: seconds to wait for a slot before rejecting
-    batch_window: float = 0.002  #: topk coalescing window (seconds)
     cache_size: int = 1024  #: LRU result-cache capacity
     debug: bool = False  #: enable the test-only ``sleep`` op
     data_dir: Optional[str] = None  #: durable snapshot+WAL directory
@@ -189,7 +188,6 @@ class ESDServer:
                 store=store,
                 snapshot_interval=self.config.snapshot_interval,
                 cache_size=self.config.cache_size,
-                batch_window=self.config.batch_window,
                 slow_query_threshold=self.config.slow_query_threshold,
                 slow_log_capacity=self.config.slow_log_capacity,
                 invariant_check_interval=self.config.invariant_check_interval,
@@ -202,7 +200,6 @@ class ESDServer:
             self.engine = QueryEngine(
                 graph,
                 cache_size=self.config.cache_size,
-                batch_window=self.config.batch_window,
                 slow_query_threshold=self.config.slow_query_threshold,
                 slow_log_capacity=self.config.slow_log_capacity,
                 invariant_check_interval=self.config.invariant_check_interval,

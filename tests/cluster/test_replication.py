@@ -154,7 +154,7 @@ _wait = functools.partial(wait_until, timeout=10.0, interval=0.01)
 
 @pytest.fixture
 def engine():
-    instance = QueryEngine(gnm_random(20, 60, seed=5), batch_window=0.0)
+    instance = QueryEngine(gnm_random(20, 60, seed=5))
     yield instance
     instance.close()
 

@@ -17,7 +17,9 @@ from repro.cluster import (
     WriterNode,
 )
 from repro.cluster.router import _Backend
+from repro.bench.workloads import LOADGEN_EDGE_BASE
 from repro.graph.generators import gnm_random
+from repro.loadgen import runner
 from repro.service.client import ServiceClient, ServiceError
 
 #: Bounded predicate polling -- no bare sleeps (see tests/conftest.py).
@@ -28,7 +30,7 @@ _wait = functools.partial(wait_until, timeout=15.0, interval=0.01)
 def cluster():
     """In-process writer + 2 replicas + router, all caught up."""
     writer = WriterNode(
-        gnm_random(18, 50, seed=11), WriterConfig(batch_window=0.0)
+        gnm_random(18, 50, seed=11), WriterConfig()
     ).start()
     replicas = [
         ReplicaNode(
@@ -52,9 +54,12 @@ def cluster():
             request_timeout=5.0,
         )
     ).start()
+    # Connected is not enough: until its first probe answers, the router
+    # counts a replica's version as unknown and sends reads to the writer.
     _wait(
         lambda: all(
-            entry["connected"] for entry in router.status()["replicas"]
+            entry["connected"] and entry["applied_version"] == 0
+            for entry in router.status()["replicas"]
         ) and router.status()["writer"]["connected"],
         message="router backend links",
     )
@@ -170,6 +175,19 @@ class TestRouting:
                 client.request("frobnicate")
             assert info.value.code == "unknown_op"
 
+    def test_loadgen_namespace_uses_the_writer_version(self, cluster):
+        """Behind a router, ``stats`` may land on a replica that trails
+        acked writes; a load run's edge namespace must still move past
+        them, so it takes the router's view of the writer version."""
+        writer, replicas, router = cluster
+        for replica in replicas:
+            replica._tailer.stop()  # the replicas stay at version 0
+        with ServiceClient(*router.address) as client:
+            version = client.insert_edge(900, 901)["graph_version"]
+        assert version == 1
+        base = runner.fresh_edge_base(*router.address)
+        assert base == LOADGEN_EDGE_BASE + version * runner.TRIAL_EDGE_STRIDE
+
     def test_cluster_status_shape(self, cluster):
         writer, replicas, router = cluster
         with ServiceClient(*router.address) as client:
@@ -177,14 +195,6 @@ class TestRouting:
         assert status["role"] == "router"
         assert status["writer"]["connected"] is True
         assert {entry["name"] for entry in status["replicas"]} == {"r0", "r1"}
-
-    def test_replica_batcher_has_no_window(self, cluster):
-        """The router reaches a replica over one link, served by one
-        handler thread: a coalescing window there would only delay it."""
-        writer, replicas, router = cluster
-        with ServiceClient(*replicas[0].address) as client:
-            batcher = client.request("metrics")["batcher"]
-        assert batcher["window_ms"] == 0
 
 
 def test_unbootstrapped_replica_refuses_reads_but_answers_probes():

@@ -18,12 +18,13 @@ from repro.loadgen import runner
 from repro.loadgen.analysis import Slo
 from repro.loadgen.report import save_payload, validate_payload
 from repro.service import ESDServer, ServerConfig
+from repro.service.client import ServiceClient
 
 
 @pytest.fixture
 def server():
     instance = ESDServer(
-        gnm_random(30, 90, seed=8), ServerConfig(port=0, batch_window=0.0)
+        gnm_random(30, 90, seed=8), ServerConfig(port=0)
     ).start()
     yield instance
     instance.shutdown()
@@ -46,6 +47,24 @@ class TestRunScenario:
         requests = prometheus["esd_endpoint_requests"]
         assert requests.get("topk", 0) >= summary["reads"] * 0.5
         assert requests.get("update", 0) >= summary["writes"]
+
+    def test_runs_repeat_against_one_live_server(self, server):
+        """Each run mints its edges in a namespace derived from the
+        server's graph_version, so a rerun with the same seed neither
+        re-inserts the first run's edges nor dies in setup."""
+        host, port = server.address
+        summaries = [
+            runner.run_scenario(
+                host, port,
+                scenario="write_heavy", rate=60.0, duration=0.4,
+                workers=2, seed=5,
+            )
+            for _ in range(2)
+        ]
+        for summary in summaries:
+            assert summary["writes"] > 0
+            assert summary["errors"] == {}
+            assert summary["completed"] == summary["scheduled"]
 
     def test_watch_fanout_exercises_watch_endpoints(self, server):
         host, port = server.address
@@ -102,6 +121,26 @@ class TestCli:
             "--scenario", "read_heavy", "--slo-p99-ms", "0.000001",
         ])
         assert code == 1  # nothing answers in a nanosecond
+
+    def test_load_run_reports_an_edge_conflict_in_one_line(
+        self, server, capsys, monkeypatch
+    ):
+        host, port = server.address
+        base = runner.fresh_edge_base(host, port)
+        # Pin the namespace, then occupy its first edge: the run's setup
+        # (which inserts the delete pool) must collide with it.
+        monkeypatch.setattr(runner, "fresh_edge_base", lambda *a: base)
+        with ServiceClient(host, port) as client:
+            client.insert_edge(base, base + 1)
+        code = main([
+            "load", "run", "--host", host, "--port", str(port),
+            "--rate", "60", "--duration", "0.4", "--workers", "2",
+            "--scenario", "write_heavy", "--seed", "5",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "edge already in graph" in err
 
     def test_load_report_round_trip(self, server, tmp_path, capsys):
         host, port = server.address

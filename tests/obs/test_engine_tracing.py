@@ -31,7 +31,7 @@ def _children(tree, record):
 
 class TestTopKSpanTree:
     def test_single_topk_covers_batcher_cache_index(self, fig1, sink):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         engine.topk(5, 2)
         records = sink.records
         (root,) = [r for r in records if r["parent_id"] is None]
@@ -51,7 +51,7 @@ class TestTopKSpanTree:
         assert index["attrs"]["k"] == 5 and index["attrs"]["tau"] == 2
 
     def test_cache_hit_skips_the_index(self, fig1, sink):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         engine.topk(5, 2)
         sink.clear()
         engine.topk(5, 2)
@@ -63,7 +63,7 @@ class TestTopKSpanTree:
 
 class TestUpdateSpanTree:
     def test_update_traces_maintenance(self, fig1, sink):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         engine.update("insert", "a", "p")
         tree = _tree(sink)
         (root,) = tree[None]
@@ -78,7 +78,7 @@ class TestUpdateSpanTree:
         dyn, _ = store.open(bootstrap_graph=fig1)
         sink.clear()  # drop the bootstrap snapshot spans
         engine = QueryEngine(
-            dynamic_index=dyn, store=store, batch_window=0.0
+            dynamic_index=dyn, store=store
         )
         engine.update("delete", "a", "b")
         tree = _tree(sink)
@@ -93,7 +93,7 @@ class TestOverheadIsolation:
     def test_disabled_tracer_emits_nothing_from_engine(self, fig1):
         TRACER.disable()
         sink = CollectingSink()
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         engine.topk(5, 2)
         engine.update("insert", "a", "p")
         assert sink.records == []

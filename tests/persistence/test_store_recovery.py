@@ -52,7 +52,6 @@ def _run_engine(tmp_dir, mutations=12, snapshot_interval=1000, faults=None):
         dynamic_index=dyn,
         store=store,
         snapshot_interval=snapshot_interval,
-        batch_window=0.0,
     )
     for i in range(mutations):
         engine.update("insert", 100 + i, 101 + i)

@@ -18,7 +18,7 @@ def _items(index_topk):
 
 class TestTopK:
     def test_matches_fresh_index(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         fresh = build_index_fast(fig1)
         for k, tau in [(1, 1), (5, 1), (10, 2), (3, 3)]:
             payload = engine.topk(k, tau)
@@ -26,7 +26,7 @@ class TestTopK:
             assert payload["graph_version"] == 0
 
     def test_repeat_query_hits_cache(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         first = engine.topk(5, 2)
         second = engine.topk(5, 2)
         assert first["cached"] is False
@@ -34,7 +34,7 @@ class TestTopK:
         assert second["items"] == first["items"]
 
     def test_validation(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         for bad in [(0, 1), (1, 0), ("5", 1), (1, True)]:
             with pytest.raises(ValueError):
                 engine.topk(*bad)
@@ -42,7 +42,7 @@ class TestTopK:
 
 class TestUpdateAndInvalidation:
     def test_update_bumps_version_and_invalidates(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         before = engine.topk(5, 1)
         result = engine.update("insert", "a", "p")
         assert result["graph_version"] == 1
@@ -55,7 +55,7 @@ class TestUpdateAndInvalidation:
         assert before["graph_version"] == 0
 
     def test_update_errors_do_not_bump_version(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         with pytest.raises(ValueError):
             engine.update("insert", "a", "b")  # already present
         with pytest.raises(KeyError):
@@ -65,7 +65,7 @@ class TestUpdateAndInvalidation:
         assert engine.graph_version == 0
 
     def test_score_and_stats_track_updates(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         assert engine.stats()["mutations"]["total"] == 0
         engine.update("delete", "a", "b")
         stats = engine.stats()
@@ -80,7 +80,7 @@ class TestUpdateAndInvalidation:
 class TestSnapshotConsistency:
     def test_concurrent_reads_audit_clean_against_replay(self):
         graph = erdos_renyi(40, 0.15, seed=7)
-        engine = QueryEngine(graph, batch_window=0.001)
+        engine = QueryEngine(graph)
         edges = sorted(graph.edges())
         updates = []
         payloads = []
@@ -112,6 +112,45 @@ class TestSnapshotConsistency:
         mismatches = verify_topk_responses(graph, updates, payloads)
         assert mismatches == []
 
+    def test_topk_after_a_write_never_joins_an_older_flight(self, fig1):
+        """Read-your-writes through the single-flight: a ``topk`` that
+        starts after a committed write must not share a computation
+        started, and answered, before that write."""
+        engine = QueryEngine(fig1)
+        batcher = engine._batcher
+        compute = batcher._execute
+        computed = threading.Event()
+        release = threading.Event()
+
+        def gated(key):
+            payload = compute(key)
+            if not computed.is_set():
+                # First flight: answered at version 0, held open.
+                computed.set()
+                release.wait(timeout=10)
+            return payload
+
+        batcher._execute = gated
+        replies = {}
+        early = threading.Thread(
+            target=lambda: replies.update(early=engine.topk(5, 1))
+        )
+        late = threading.Thread(
+            target=lambda: replies.update(late=engine.topk(5, 1))
+        )
+        early.start()
+        assert computed.wait(timeout=10)
+        written = engine.update("insert", "a", "p")["graph_version"]
+        late.start()
+        late.join(timeout=2)  # with a version-free key it would block here
+        release.set()
+        for thread in (early, late):
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert replies["early"]["graph_version"] == 0
+        assert replies["late"]["graph_version"] >= written
+        assert batcher.stats()["coalesced"] == 0
+
     def test_graph_at_version_detects_log_gaps(self):
         graph = Graph([(0, 1)])
         with pytest.raises(ValueError):
@@ -122,7 +161,7 @@ class TestSnapshotConsistency:
 
 class TestWatches:
     def test_watch_feed_matches_independent_monitor(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         reference = TopKMonitor(fig1, k=3, tau=1)
         watch_id = engine.watch(3, 1)["watch_id"]
 
@@ -148,7 +187,7 @@ class TestWatches:
         assert engine.changes(watch_id)["changes"] == []
 
     def test_unwatch_and_missing_watch(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         watch_id = engine.watch(2, 1)["watch_id"]
         assert engine.unwatch(watch_id)["removed"] is True
         with pytest.raises(KeyError):
@@ -157,7 +196,7 @@ class TestWatches:
             engine.unwatch(watch_id)
 
     def test_metrics_snapshot_shape(self, fig1):
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         engine.topk(5, 2)
         engine.topk(5, 2)
         snapshot = engine.metrics_snapshot()
@@ -169,7 +208,7 @@ class TestWatches:
     def test_metrics_include_kernel_counters(self, fig1):
         from repro.kernels.counters import KERNEL_COUNTERS
 
-        engine = QueryEngine(fig1, batch_window=0.0)
+        engine = QueryEngine(fig1)
         snapshot = engine.obs.snapshot()
         assert snapshot["kernels"] == KERNEL_COUNTERS.snapshot()
         assert "merge_intersections" in snapshot["kernels"]

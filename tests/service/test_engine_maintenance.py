@@ -1,109 +1,16 @@
-"""Engine-side metric maintenance: batch fan-out and the warmer thread.
+"""Engine-side metric maintenance: the background warmer thread.
 
-The batch satellite's contract: scorers hear about a commit group
-exactly once, with the whole ordered event list -- one ``on_batch``
-call per ``apply_batch`` (or per single update), never one per edge.
-The warmer's contract: with ``warm_metrics`` set, a mutation eventually
-repopulates the named scorers' tables off the query path, and
-``close()`` stops the thread.
+With ``warm_metrics`` set, a mutation eventually repopulates the named
+scorers' tables off the query path, and ``close()`` stops the thread.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.core.maintenance import DynamicESDIndex
-from repro.graph import Graph, paper_example_graph
-from repro.metrics import MetricScorer, get_metric, register_metric
-from repro.metrics.scorers import _REGISTRY
+from repro.graph import paper_example_graph
+from repro.metrics import get_metric
 from repro.service.engine import QueryEngine
-
-
-class SpyScorer(MetricScorer):
-    """Records every maintenance hook call; scores are irrelevant."""
-
-    name = "spy"
-
-    def __init__(self) -> None:
-        self.batches = []
-        self.mutations = []
-        self.warmed = []
-
-    def score(self, graph, edge, *, tau=2, index=None):
-        return 0
-
-    def topk(self, graph, k, *, tau=2, index=None):
-        return []
-
-    def on_mutation(self, kind, edge, version):
-        self.mutations.append((kind, edge, version))
-
-    def on_batch(self, events, version):
-        self.batches.append((list(events), version))
-
-    def warm(self, graph):
-        self.warmed.append(graph.revision)
-
-
-def with_spy(fn):
-    """Run ``fn(spy)`` with the spy registered, restoring the registry."""
-    spy = SpyScorer()
-    register_metric(spy, replace=True)
-    try:
-        return fn(spy)
-    finally:
-        _REGISTRY.pop("spy", None)
-
-
-class TestBatchFanOut:
-    def test_apply_batch_notifies_each_scorer_once(self):
-        def scenario(spy):
-            dyn = DynamicESDIndex(paper_example_graph())
-            QueryEngine(dynamic_index=dyn)
-            dyn.apply_batch(
-                deletions=[("a", "b")],
-                insertions=[("x", "y"), ("y", "z")],
-            )
-            assert len(spy.batches) == 1
-            events, version = spy.batches[0]
-            assert events == [
-                ("delete", ("a", "b")),
-                ("insert", ("x", "y")),
-                ("insert", ("y", "z")),
-            ]
-            assert version == dyn.graph_version
-
-        with_spy(scenario)
-
-    def test_single_update_is_a_one_event_group(self):
-        def scenario(spy):
-            engine = QueryEngine(paper_example_graph())
-            engine.update("insert", "x", "y")
-            assert len(spy.batches) == 1
-            events, _version = spy.batches[0]
-            assert events == [("insert", ("x", "y"))]
-
-        with_spy(scenario)
-
-    def test_failed_batch_still_reports_applied_prefix(self):
-        def scenario(spy):
-            dyn = DynamicESDIndex(Graph([("a", "b"), ("b", "c")]))
-            QueryEngine(dynamic_index=dyn)
-            try:
-                dyn.apply_batch(
-                    insertions=[("c", "d"), ("c", "d")]  # duplicate fails
-                )
-            except ValueError:
-                pass
-            else:
-                raise AssertionError("expected duplicate insert to fail")
-            # The scorers must still hear about what *did* commit, or
-            # their tables drift from the graph.
-            assert len(spy.batches) == 1
-            events, _version = spy.batches[0]
-            assert events == [("insert", ("c", "d"))]
-
-        with_spy(scenario)
 
 
 class TestWarmer:

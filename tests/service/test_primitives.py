@@ -1,9 +1,12 @@
 """Unit tests for the serving-layer building blocks."""
 
+import sys
 import threading
 import time
 
 import pytest
+
+from tests.conftest import wait_until
 
 from repro.service.batcher import TopKBatcher
 from repro.service.cache import ResultCache
@@ -256,62 +259,112 @@ class TestPercentileBoundaries:
 class TestTopKBatcher:
     def test_single_flight_shares_one_execution(self):
         calls = []
-        gate = threading.Event()
+        entered = threading.Event()
+        release = threading.Event()
 
-        def execute(keys):
-            calls.append(sorted(keys))
-            gate.wait(timeout=5)
-            return {key: f"result-{key}" for key in keys}
+        def execute(key):
+            calls.append(key)
+            entered.set()
+            release.wait(timeout=5)
+            return f"result-{key}"
 
-        batcher = TopKBatcher(execute, window=0.05)
+        batcher = TopKBatcher(execute)
         results = [None] * 6
 
         def submit(i):
             results[i] = batcher.submit((10, 2))
 
         threads = [threading.Thread(target=submit, args=(i,)) for i in range(6)]
-        for t in threads:
+        threads[0].start()
+        assert entered.wait(timeout=5)  # the leader is computing
+        for t in threads[1:]:
             t.start()
-        time.sleep(0.15)  # everyone lands inside the leader's window
-        gate.set()
+        # Every follower has joined the in-flight computation.
+        wait_until(
+            lambda: batcher.stats()["requests"] == 6,
+            interval=0.001, message="followers to join",
+        )
+        release.set()
         for t in threads:
             t.join(timeout=5)
-        assert len(calls) == 1  # six submits, one execution
+            assert not t.is_alive()
+        assert calls == [(10, 2)]  # six submits, one execution
         assert all(value == ("result-(10, 2)", 6) for value in results)
-        assert batcher.stats()["coalesced"] == 5
+        stats = batcher.stats()
+        assert (stats["batches"], stats["coalesced"]) == (1, 5)
+        assert stats["largest_batch"] == 6
+        # The flight closed with its result: the next submit computes anew.
+        assert batcher.submit((10, 2)) == ("result-(10, 2)", 1)
+        assert len(calls) == 2
 
-    def test_distinct_keys_one_pass(self):
-        calls = []
+    def test_distinct_keys_compute_independently(self):
+        entered = threading.Event()
+        release = threading.Event()
 
-        def execute(keys):
-            calls.append(sorted(keys))
-            return {key: key[0] * key[1] for key in keys}
+        def execute(key):
+            if key == (10, 2):
+                entered.set()
+                release.wait(timeout=5)
+            return key[0] * key[1]
 
-        batcher = TopKBatcher(execute, window=0.05)
+        batcher = TopKBatcher(execute)
         out = {}
+        blocked = threading.Thread(
+            target=lambda: out.update({(10, 2): batcher.submit((10, 2))})
+        )
+        blocked.start()
+        assert entered.wait(timeout=5)
+        # A different key never waits behind the blocked computation.
+        assert batcher.submit((50, 3)) == (150, 1)
+        assert not release.is_set() and blocked.is_alive()
+        release.set()
+        blocked.join(timeout=5)
+        assert not blocked.is_alive()
+        assert out[(10, 2)] == (20, 1)
+        stats = batcher.stats()
+        assert (stats["batches"], stats["coalesced"]) == (2, 0)
 
-        def submit(key):
-            out[key] = batcher.submit(key)
+    def test_stress_accounting_survives_thread_interleaving(self):
+        """More threads than cores, tiny switch interval: every submit is
+        answered with its own key's result and the counters add up."""
+        keys = [("esd", k, 2, 0) for k in (1, 2, 3)]
+        batcher = TopKBatcher(lambda key: key[1] * 10)
+        errors = []
 
-        threads = [
-            threading.Thread(target=submit, args=(key,))
-            for key in [(10, 2), (50, 3), (10, 2)]
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=5)
-        assert sum(len(keys) for keys in calls) == 2  # two distinct keys total
-        assert out[(10, 2)][0] == 20 and out[(50, 3)][0] == 150
+        def hammer(i):
+            for j in range(200):
+                key = keys[(i + j) % len(keys)]
+                result, answered = batcher.submit(key)
+                if result != key[1] * 10 or answered < 1:
+                    errors.append((key, result, answered))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(i,)) for i in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        stats = batcher.stats()
+        assert stats["requests"] == 8 * 200
+        assert stats["batches"] + stats["coalesced"] == stats["requests"]
+        assert batcher._flights == {}  # every flight closed
 
     def test_execute_failure_propagates_to_all_waiters(self):
-        def execute(keys):
+        def execute(key):
             raise RuntimeError("index on fire")
 
-        batcher = TopKBatcher(execute, window=0.0)
+        batcher = TopKBatcher(execute)
         with pytest.raises(RuntimeError, match="index on fire"):
             batcher.submit((10, 2))
-
-    def test_rejects_negative_window(self):
-        with pytest.raises(ValueError):
-            TopKBatcher(lambda keys: {}, window=-1)
+        # A failed flight is closed too: the key is free again.
+        with pytest.raises(RuntimeError, match="index on fire"):
+            batcher.submit((10, 2))
+        assert batcher.stats()["batches"] == 2

@@ -110,7 +110,6 @@ class TestServe:
         assert args.func.__name__ == "_cmd_serve"
         assert args.max_pending == 64
         assert args.queue_timeout == 2.0
-        assert args.batch_window == 0.002
         assert args.cache_size == 1024
 
     def test_bench_accepts_service(self):
